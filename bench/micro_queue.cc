@@ -10,7 +10,10 @@
 //  * timer storm: independent self-rescheduling timers with no cross-
 //    stream traffic at all — the best case for adaptive horizons, which
 //    collapse the lockstep t_min+L windows into one window per shard
-//    batch.
+//    batch,
+//  * deep heap: one shard holding ~10^5 pending events (a large client
+//    crowd's worth) under pop/push churn with one cancel in four — the
+//    heap-entry, slot-table and stale-entry cost of the single-shard loop.
 //
 // Wall-clock events/sec here measure the simulator itself (host-machine
 // dependent); the committed trajectory gate works on ratios instead —
@@ -145,6 +148,58 @@ void BM_TimerStorm(benchmark::State& state) {
 BENCHMARK(BM_TimerStorm)
     ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
     ->ArgNames({"shards", "adaptive"});
+
+// ~10^5 pending events on one shard. Every firing pushes its successor at
+// a pseudo-random delay, so the heap stays at full depth; every fourth
+// push also schedules a decoy and cancels it, leaving a stale heap entry
+// behind and a freed slot for the next push.
+class DeepHeap {
+ public:
+  static constexpr int kPending = 100000;
+  static constexpr Cycles kMeanDelay = Cycles{1} << 20;
+
+  explicit DeepHeap(int shards) : eq_(shards, kLookahead) {
+    for (int i = 0; i < kPending; ++i) {
+      Push();
+    }
+  }
+
+  // Runs about `events` firings; returns how many fired.
+  uint64_t Run(uint64_t events) {
+    uint64_t before = eq_.fired_count();
+    eq_.RunUntil(eq_.now() + events * kMeanDelay / kPending);
+    return eq_.fired_count() - before;
+  }
+
+ private:
+  Cycles NextDelay() {
+    rng_ ^= rng_ << 13;
+    rng_ ^= rng_ >> 7;
+    rng_ ^= rng_ << 17;
+    return 1 + rng_ % (2 * kMeanDelay);
+  }
+
+  void Push() {
+    if (++pushes_ % 4 == 0) {
+      eq_.Cancel(eq_.ScheduleAfter(NextDelay(), [this] { Push(); }));
+    }
+    eq_.ScheduleAfter(NextDelay(), [this] { Push(); });
+  }
+
+  ShardedEventQueue eq_;
+  uint64_t rng_ = 0x9e3779b97f4a7c15ULL;
+  uint64_t pushes_ = 0;
+};
+
+void BM_DeepHeap(benchmark::State& state) {
+  DeepHeap heap(static_cast<int>(state.range(0)));
+  uint64_t events = 0;
+  for (auto _ : state) {
+    events += heap.Run(10000);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+}
+BENCHMARK(BM_DeepHeap)->Arg(1)->ArgNames({"shards"});
 
 }  // namespace
 }  // namespace escort

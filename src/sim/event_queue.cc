@@ -180,8 +180,6 @@ struct ExecContext {
 
 thread_local ExecContext tls_exec;
 
-constexpr uint64_t kLocalIdMask = (uint64_t{1} << 56) - 1;
-
 }  // namespace
 
 ShardedEventQueue::ShardedEventQueue(int shards, Cycles lookahead, bool adaptive)
@@ -267,11 +265,23 @@ EventQueue::EventId ShardedEventQueue::Insert(size_t shard, Key key, StreamId ex
   // shard's executed position would run in its past and silently break
   // the shard-count-independent total order.
   assert(key.when >= sh.clock && "insert below target shard's clock");
-  uint64_t local = sh.ledger.Append();
-  EventId id = (static_cast<EventId>(shard) << kShardShift) | local;
-  sh.heap.push(Event{key, id, exec, std::move(fn)});
-  ++sh.live;
-  return id;
+  uint32_t slot;
+  if (!sh.free_slots.empty()) {
+    slot = sh.free_slots.back();
+    sh.free_slots.pop_back();
+  } else {
+    if (sh.slots.size() > kSlotMask) {
+      throw std::length_error("sharded event queue: more than 2^26 pending events on a shard");
+    }
+    slot = static_cast<uint32_t>(sh.slots.size());
+    sh.slots.emplace_back();
+  }
+  Slot& entry = sh.slots[slot];
+  entry.fn = std::move(fn);
+  entry.exec = exec;
+  sh.heap.push(Entry{key, slot, entry.gen});
+  return (static_cast<EventId>(shard) << kShardShift) |
+         (static_cast<EventId>(entry.gen & kGenMask) << kSlotBits) | slot;
 }
 
 EventQueue::EventId ShardedEventQueue::ScheduleAt(Cycles when, Callback fn) {
@@ -319,53 +329,48 @@ bool ShardedEventQueue::Cancel(EventId id) {
     return false;
   }
   Shard& sh = shards_[shard];
-  if (!sh.ledger.Mark(id & kLocalIdMask)) {
-    return false;
+  const uint32_t slot = static_cast<uint32_t>(id & kSlotMask);
+  const uint64_t gen = (id >> kSlotBits) & kGenMask;
+  if (slot >= sh.slots.size() || (sh.slots[slot].gen & kGenMask) != gen) {
+    return false;  // fired, cancelled, or never issued
   }
-  if (sh.live > 0) {
-    --sh.live;
-  }
+  // The callback is destroyed only after the slot is back on the freelist:
+  // its captures may reenter the queue.
+  Callback dropped = std::move(sh.slots[slot].fn);
+  sh.Release(slot);
   return true;
 }
 
-bool ShardedEventQueue::TimerFirst(const Shard& sh, TimerKey* tk) const {
-  if (sh.wheel == nullptr || !sh.wheel->PeekDue(tk)) {
-    return false;
-  }
-  if (sh.heap.empty()) {
-    return true;
-  }
-  const Key& hk = sh.heap.top().key;
-  Key wk{tk->when, tk->stream, tk->seq, tk->minor};
-  return wk < hk;
-}
-
-bool ShardedEventQueue::PeekShard(size_t s, Key* key) const {
+ShardedEventQueue::Head ShardedEventQueue::PeekShard(size_t s, Key* key) const {
   const Shard& sh = shards_[s];
-  while (!sh.heap.empty() && sh.ledger.IsConsumed(sh.heap.top().id & kLocalIdMask)) {
-    sh.heap.pop();
+  while (!sh.heap.empty() && sh.slots[sh.heap.top().slot].gen != sh.heap.top().gen) {
+    sh.heap.pop();  // cancelled: its slot has moved on to a later generation
   }
   TimerKey tk;
-  if (TimerFirst(sh, &tk)) {
-    *key = Key{tk.when, tk.stream, tk.seq, tk.minor};
-    return true;
+  if (sh.wheel != nullptr && sh.wheel->PeekDue(&tk)) {
+    Key wk(tk.when, tk.stream, tk.seq, tk.minor);
+    if (sh.heap.empty() || wk < sh.heap.top().key) {
+      *key = wk;
+      return Head::kTimer;
+    }
   }
   if (sh.heap.empty()) {
-    return false;
+    return Head::kNone;
   }
   *key = sh.heap.top().key;
-  return true;
+  return Head::kHeap;
 }
 
-bool ShardedEventQueue::GlobalPeek(size_t* shard, Key* key) const {
-  bool found = false;
+ShardedEventQueue::Head ShardedEventQueue::GlobalPeek(size_t* shard, Key* key) const {
+  Head found = Head::kNone;
   for (size_t s = 0; s < shards_.size(); ++s) {
     Key k;
-    if (!PeekShard(s, &k)) {
+    Head head = PeekShard(s, &k);
+    if (head == Head::kNone) {
       continue;
     }
-    if (!found || k < *key) {
-      found = true;
+    if (found == Head::kNone || k < *key) {
+      found = head;
       *shard = s;
       *key = k;
     }
@@ -373,10 +378,10 @@ bool ShardedEventQueue::GlobalPeek(size_t* shard, Key* key) const {
   return found;
 }
 
-void ShardedEventQueue::ExecuteTop(size_t s) {
+void ShardedEventQueue::ExecuteTop(size_t s, Head head) {
   Shard& sh = shards_[s];
-  TimerKey tk;
-  if (TimerFirst(sh, &tk)) {
+  if (head == Head::kTimer) {
+    TimerKey tk;
     uint32_t exec_stream = 0;
     TimerWheel::Callback fn = sh.wheel->PopDue(&tk, &exec_stream);
     ++sh.fired;
@@ -388,14 +393,19 @@ void ShardedEventQueue::ExecuteTop(size_t s) {
     tls_exec = saved;
     return;
   }
-  Event ev = sh.heap.pop();
-  sh.ledger.Mark(ev.id & kLocalIdMask);
-  --sh.live;
+  const Entry top = sh.heap.pop();
+  // Move the callback out and free the slot before running it: the
+  // callback may schedule (growing the slot table) or cancel its own id,
+  // which must already fail.
+  Slot& slot = sh.slots[top.slot];
+  Callback fn = std::move(slot.fn);
+  const StreamId exec = slot.exec;
+  sh.Release(top.slot);
   ++sh.fired;
-  sh.clock = ev.key.when;
+  sh.clock = top.key.when;
   ExecContext saved = tls_exec;
-  tls_exec = ExecContext{this, ev.exec, ev.key.when, false, 0, 0};
-  ev.fn();
+  tls_exec = ExecContext{this, exec, top.key.when, false, 0, 0};
+  fn();
   tls_exec = saved;
 }
 
@@ -406,8 +416,10 @@ void ShardedEventQueue::RunShardWindow(size_t s) {
   // window_cap can shrink while the loop runs (a posted send self-caps, an
   // inline cross-shard insert caps the running shard) — re-read every
   // iteration.
-  while (PeekShard(s, &k) && k.when < sh.window_horizon && k.when < sh.window_cap) {
-    ExecuteTop(s);
+  for (Head head = PeekShard(s, &k);
+       head != Head::kNone && k.when < sh.window_horizon && k.when < sh.window_cap;
+       head = PeekShard(s, &k)) {
+    ExecuteTop(s, head);
   }
   if (sh.fired != fired_before) {
     ++sh.windows_active;
@@ -422,23 +434,23 @@ void ShardedEventQueue::RunTxn(Txn& txn) {
 }
 
 void ShardedEventQueue::DrainTransactions() {
-  {
-    std::lock_guard<std::mutex> lock(txn_mu_);
-    if (!txns_.empty()) {
-      if (txns_.size() > max_mailbox_depth_) {
-        max_mailbox_depth_ = txns_.size();
-      }
-      held_txns_.insert(held_txns_.end(), std::make_move_iterator(txns_.begin()),
-                        std::make_move_iterator(txns_.end()));
-      txns_.clear();
-      // Key order == the order the bodies run inline in a serial execution
-      // (seqs are allocated in send order, monotonic per stream).
-      std::stable_sort(held_txns_.begin(), held_txns_.end(), [](const Txn& a, const Txn& b) {
-        if (a.when != b.when) return a.when < b.when;
-        if (a.stream != b.stream) return a.stream < b.stream;
-        return a.seq < b.seq;
-      });
+  // A serial point: no worker is running, so txns_ needs no lock here.
+  if (!txns_.empty()) {
+    if (txns_.size() > max_mailbox_depth_) {
+      max_mailbox_depth_ = txns_.size();
     }
+    held_txns_.insert(held_txns_.end(), std::make_move_iterator(txns_.begin()),
+                      std::make_move_iterator(txns_.end()));
+    txns_.clear();
+    // Key order, which depends only on the total event order and so is
+    // the same at any shard count. It is not the post order: within one
+    // window, a lower stream's body posted later at the same time runs
+    // first (seqs are monotonic per stream only).
+    std::stable_sort(held_txns_.begin(), held_txns_.end(), [](const Txn& a, const Txn& b) {
+      if (a.when != b.when) return a.when < b.when;
+      if (a.stream != b.stream) return a.stream < b.stream;
+      return a.seq < b.seq;
+    });
   }
   if (held_txns_.empty()) {
     return;
@@ -455,7 +467,7 @@ void ShardedEventQueue::DrainTransactions() {
   Cycles floor = kNoEvent;
   for (size_t s = 0; s < shards_.size(); ++s) {
     Key k;
-    if (PeekShard(s, &k) && k.when < floor) {
+    if (PeekShard(s, &k) != Head::kNone && k.when < floor) {
       floor = k.when;
     }
   }
@@ -500,7 +512,11 @@ void ShardedEventQueue::PostSequenced(SequencedFn fn) {
     if (cap < own_shard.window_cap) {
       own_shard.window_cap = cap;
     }
-    std::lock_guard<std::mutex> lock(txn_mu_);
+    // Only parallel-window workers deposit concurrently.
+    std::unique_lock<std::mutex> lock(txn_mu_, std::defer_lock);
+    if (in_parallel_window_) {
+      lock.lock();
+    }
     txns_.push_back(Txn{when, stream, seq, std::move(fn)});
     return;
   }
@@ -512,10 +528,11 @@ bool ShardedEventQueue::Step() {
   DrainTransactions();
   size_t s;
   Key k;
-  if (!GlobalPeek(&s, &k)) {
+  Head head = GlobalPeek(&s, &k);
+  if (head == Head::kNone) {
     return false;
   }
-  ExecuteTop(s);
+  ExecuteTop(s, head);
   now_floor_ = k.when;
   // Keep the stream-0 shard clock monotonic for now_ref() observers even
   // when the event ran elsewhere.
@@ -574,6 +591,75 @@ void ShardedEventQueue::ComputeHorizons(const std::vector<Cycles>& earliest, Cyc
 }
 
 void ShardedEventQueue::RunUntil(Cycles deadline) {
+  if (gang_ == nullptr && !adaptive_) {
+    RunSerialWindows(deadline);
+  } else {
+    RunWindows(deadline);
+  }
+  if (now_floor_ < deadline) {
+    now_floor_ = deadline;
+  }
+  for (Shard& sh : shards_) {
+    if (sh.clock < deadline) {
+      sh.clock = deadline;
+    }
+  }
+}
+
+void ShardedEventQueue::RunSerialWindows(Cycles deadline) {
+  // One shard, conservative horizon: RunWindows would find T = the shard's
+  // earliest event, give it H = min(T + L, deadline + 1) (lowered to the
+  // oldest held transaction's time + L), run it alone and inline, and
+  // drain. This loop does exactly that, so the events, the drains and
+  // every ShardProfile counter come out the same; it only skips the
+  // per-window vectors and peeks once per event. The window cap needs no
+  // check: a deposit caps the shard at its post time + L >= T + L >= H,
+  // and no other shard can insert.
+  Shard& sh = shards_[0];
+  const Cycles step = lookahead_ > 0 ? lookahead_ : 1;
+  const Cycles cap = deadline >= kNoEvent - 1 ? kNoEvent : deadline + 1;
+  Key k;
+  Head head = PeekShard(0, &k);
+  for (;;) {
+    if (!txns_.empty() || !held_txns_.empty()) {
+      DrainTransactions();
+      head = PeekShard(0, &k);
+    }
+    if (head == Head::kNone || k.when > deadline) {
+      break;
+    }
+    const Cycles t = k.when;
+    Cycles h = t > kNoEvent - step ? kNoEvent : t + step;
+    if (h > cap) {
+      h = cap;
+    }
+    if (!held_txns_.empty()) {
+      const Cycles w = held_txns_.front().when;
+      const Cycles held_cap = w > kNoEvent - step ? kNoEvent : w + step;
+      if (h > held_cap) {
+        h = held_cap;
+      }
+    }
+    ++windows_run_;
+    if (t >= h) {
+      // A held transaction older than t - L (a body cancelled the event
+      // that held it back) closes the window before it opens, as in
+      // RunWindows; the next drain releases it.
+      continue;
+    }
+    ++sh.windows_woken;
+    ++sh.windows_active;  // t < h, so the window fires at least one event
+    window_cycles_ += h - t;
+    inline_window_shard_ = 0;
+    do {
+      ExecuteTop(0, head);
+      head = PeekShard(0, &k);
+    } while (head != Head::kNone && k.when < h);
+    inline_window_shard_ = -1;
+  }
+}
+
+void ShardedEventQueue::RunWindows(Cycles deadline) {
   for (;;) {
     DrainTransactions();
     // One pass collects each shard's earliest pending time (compacting
@@ -582,7 +668,7 @@ void ShardedEventQueue::RunUntil(Cycles deadline) {
     Cycles t_min = kNoEvent;
     for (size_t i = 0; i < shards_.size(); ++i) {
       Key key;
-      if (PeekShard(i, &key)) {
+      if (PeekShard(i, &key) != Head::kNone) {
         earliest_[i] = key.when;
         if (key.when < t_min) {
           t_min = key.when;
@@ -652,14 +738,6 @@ void ShardedEventQueue::RunUntil(Cycles deadline) {
       }
     }
   }
-  if (now_floor_ < deadline) {
-    now_floor_ = deadline;
-  }
-  for (Shard& sh : shards_) {
-    if (sh.clock < deadline) {
-      sh.clock = deadline;
-    }
-  }
 }
 
 void ShardedEventQueue::RunToCompletion() {
@@ -670,7 +748,7 @@ void ShardedEventQueue::RunToCompletion() {
 bool ShardedEventQueue::PeekNext(Cycles* when) const {
   size_t s;
   Key k;
-  if (!GlobalPeek(&s, &k)) {
+  if (GlobalPeek(&s, &k) == Head::kNone) {
     return false;
   }
   *when = k.when;
@@ -682,7 +760,7 @@ bool ShardedEventQueue::empty() const { return pending() == 0; }
 size_t ShardedEventQueue::pending() const {
   size_t n = 0;
   for (const Shard& sh : shards_) {
-    n += sh.live;
+    n += sh.live();
     if (sh.wheel != nullptr) {
       n += sh.wheel->armed();
     }
@@ -803,7 +881,7 @@ uint64_t ShardedEventQueue::fired_count() const {
 size_t ShardedEventQueue::consumed_slot_count() const {
   size_t n = 0;
   for (const Shard& sh : shards_) {
-    n += sh.ledger.slot_count();
+    n += sh.slots.size();
   }
   return n;
 }

@@ -17,7 +17,9 @@
 //    local clock. Shards execute concurrently inside conservative lookahead
 //    windows derived from the minimum link delivery latency; cross-shard
 //    sends are time-stamped mailbox deposits (PostSequenced) drained in
-//    deterministic key order at window boundaries.
+//    deterministic key order at window boundaries. A one-shard queue runs
+//    the same windows in a direct loop, without the per-window horizon
+//    machinery (DESIGN.md §6.5).
 //
 //    Determinism contract: events are totally ordered by the key
 //    (when, stream, seq, minor). Stream ids and per-stream sequence numbers
@@ -158,7 +160,7 @@ class EventQueue {
   // equivalence grid pins both modes against each other.
   //
   // TimerId encoding: bit 63 set = heap fallback wrapping the EventId
-  // (shard ids stop at bit 61, so the bit is always free); bit 63 clear =
+  // (EventId shard ids stop at bit 61, so the bit is always free); bit 63 clear =
   // wheel: bits 56..62 shard, bits 32..55 wheel entry index, bits 0..31
   // generation tag.
   using TimerId = uint64_t;
@@ -218,9 +220,10 @@ class EventQueue {
   }
   virtual uint64_t fired_count() const { return fired_count_; }
 
-  // Size of the consumed-event bookkeeping window (test hook for the
-  // prefix-compaction guarantee: bounded by outstanding events, not by
-  // events ever scheduled).
+  // Size of the bookkeeping that tells pending ids from consumed ones
+  // (test hook: bounded by outstanding events, not by events ever
+  // scheduled). Here the consumed-ledger window; ShardedEventQueue reports
+  // its slot tables.
   virtual size_t consumed_slot_count() const { return ledger_.slot_count(); }
 
   // ---- Actor streams (meaningful on ShardedEventQueue; no-ops here) ----
@@ -249,14 +252,20 @@ class EventQueue {
   // Posts a sequenced transaction: a body that reads/writes state shared
   // between streams (the wire medium). On the serial queue it runs inline.
   // On a sharded queue it consumes exactly one sequence number from the
-  // posting stream at call time; during windows (parallel or inline) the
-  // body is deposited in a mailbox and drained at a window boundary in
-  // deterministic (time, stream, seq) order — identical to the order the
-  // bodies run inline in a serial execution. A body is held past the next
-  // boundary if any shard still has a pending event at or before its post
-  // time (only possible under adaptive horizons). The body runs at a serial
-  // point (EA002 treats it as serial context), but it is still deferred:
-  // the EA001 capture contract applies.
+  // posting stream at call time; inside RunUntil windows (parallel,
+  // inline, or the single-shard loop) the body is deposited in a mailbox
+  // and drained at the window boundary in deterministic (time, stream,
+  // seq) order, at any shard count. That key order is not the post order:
+  // a body posted earlier within one window at the same time by a higher
+  // stream runs after a lower stream's (tests/test_sharded_queue.cc,
+  // TransactionDrainFollowsKeyOrderNotPostOrder). Outside windows — Step,
+  // RunToCompletion, serial points — bodies run inline in post order, so
+  // Step-driven runs (RunAccountingAccuracy, RunKillCost: table1/table2)
+  // order them differently from RunUntil-driven ones. A body is held past
+  // the next boundary if any shard still has a pending event at or before
+  // its post time (only possible under adaptive horizons). The body runs
+  // at a serial point (EA002 treats it as serial context), but it is
+  // still deferred: the EA001 capture contract applies.
   // ESCORT_DEFERRED_API
   virtual void PostSequenced(SequencedFn fn) { fn(now()); }
 
@@ -409,6 +418,9 @@ class ShardedEventQueue : public EventQueue {
   bool empty() const override;
   size_t pending() const override;
   uint64_t fired_count() const override;
+  // Total slot-table size over all shards: each table grows only to its
+  // shard's peak number of outstanding heap events, since fired and
+  // cancelled slots are reused.
   size_t consumed_slot_count() const override;
 
   StreamId NewStream(int shard) override;
@@ -433,67 +445,88 @@ class ShardedEventQueue : public EventQueue {
  private:
   // Total order over all events; independent of shard count by
   // construction (streams and seqs are assigned causally, minors index
-  // deliveries within one sequenced transaction).
+  // deliveries within one sequenced transaction). Laid out when/seq/
+  // stream/minor so the key packs into 24 bytes, but compared in
+  // (when, stream, seq, minor) order; the constructor takes the fields in
+  // that comparison order.
   struct Key {
     Cycles when;
-    StreamId stream;
     uint64_t seq;
+    StreamId stream;
     uint32_t minor;
-    bool operator>(const Key& o) const {
-      if (when != o.when) return when > o.when;
-      if (stream != o.stream) return stream > o.stream;
-      if (seq != o.seq) return seq > o.seq;
-      return minor > o.minor;
+    Key() = default;
+    Key(Cycles w, StreamId st, uint64_t sq, uint32_t mn)
+        : when(w), seq(sq), stream(st), minor(mn) {}
+    bool operator<(const Key& o) const {
+      if (when != o.when) return when < o.when;
+      if (stream != o.stream) return stream < o.stream;
+      if (seq != o.seq) return seq < o.seq;
+      return minor < o.minor;
     }
-    bool operator<(const Key& o) const { return o > *this; }
   };
 
-  struct Event {
+  // A heap entry: the event's key plus the slot-table handle that holds
+  // its callback. Trivially copyable, so heap sifts never move a
+  // std::function. The entry is stale (a cancelled event) when `gen` no
+  // longer matches its slot's generation.
+  struct Entry {
     Key key;
-    EventId id;
-    StreamId exec;  // stream whose context runs `fn` (child-event identity)
+    uint32_t slot;
+    uint32_t gen;
+  };
+  static_assert(sizeof(Entry) == 32, "heap entries stay 32 bytes");
+
+  // One slot-table entry: the callback and the stream whose context runs
+  // it (child-event identity). `gen` is bumped every time the slot is
+  // freed (fired or cancelled), which invalidates both the ids handed out
+  // for it and any heap entry still referring to it.
+  struct Slot {
     Callback fn;
-    bool operator>(const Event& o) const { return key > o.key; }
+    uint32_t gen = 0;
+    StreamId exec = 0;
   };
 
-  // Min-heap over Key with a pre-reserved backing vector: shard heaps churn
+  // Min-heap of Entry with a pre-reserved backing vector: shard heaps churn
   // tens of thousands of push/pop pairs per cell, and std::priority_queue
-  // neither reserves nor lets an event be moved out of the top slot.
+  // does not reserve.
   class EventHeap {
    public:
-    EventHeap() { events_.reserve(kReserve); }
-    bool empty() const { return events_.empty(); }
-    const Event& top() const { return events_.front(); }
-    void push(Event ev) {
-      events_.push_back(std::move(ev));
-      std::push_heap(events_.begin(), events_.end(), Later());
+    EventHeap() { entries_.reserve(kReserve); }
+    bool empty() const { return entries_.empty(); }
+    const Entry& top() const { return entries_.front(); }
+    void push(const Entry& e) {
+      entries_.push_back(e);
+      std::push_heap(entries_.begin(), entries_.end(), Later());
     }
-    // Removes and returns the minimum-key event.
-    Event pop() {
-      std::pop_heap(events_.begin(), events_.end(), Later());
-      Event ev = std::move(events_.back());
-      events_.pop_back();
-      return ev;
+    // Removes and returns the minimum-key entry.
+    Entry pop() {
+      std::pop_heap(entries_.begin(), entries_.end(), Later());
+      Entry e = entries_.back();
+      entries_.pop_back();
+      return e;
     }
 
    private:
     struct Later {
-      bool operator()(const Event& a, const Event& b) const { return a.key > b.key; }
+      bool operator()(const Entry& a, const Entry& b) const { return b.key < a.key; }
     };
     static constexpr size_t kReserve = 256;
-    std::vector<Event> events_;
+    std::vector<Entry> entries_;
   };
 
   struct Shard {
     mutable EventHeap heap;
-    mutable ConsumedLedger ledger;
+    // Slot table: callbacks of pending events, indexed by Entry::slot, and
+    // a LIFO freelist of released slots. The table never shrinks, so its
+    // size is the shard's peak number of outstanding heap events.
+    std::vector<Slot> slots;
+    std::vector<uint32_t> free_slots;
     // Per-shard timer wheel, lazily created on the first timer arm.
     // Touched only by the thread running this shard (or at serial points);
     // mutable because peeks stage due slots, like the compacting heap
     // peeks above.
     mutable std::unique_ptr<TimerWheel> wheel;
     Cycles clock = 0;
-    size_t live = 0;
     uint64_t fired = 0;
     uint64_t windows_woken = 0;   // windows this shard was dispatched in
     uint64_t windows_active = 0;  // windows this shard fired >= 1 event in
@@ -504,6 +537,14 @@ class ShardedEventQueue : public EventQueue {
     // only at serial points or by the thread running this shard.
     Cycles window_horizon = 0;
     Cycles window_cap = 0;
+
+    size_t live() const { return slots.size() - free_slots.size(); }
+    // Frees `slot` (its callback already moved out): bumps the generation
+    // so outstanding ids and heap entries for it go stale.
+    void Release(uint32_t slot) {
+      ++slots[slot].gen;
+      free_slots.push_back(slot);
+    }
   };
 
   struct Stream {
@@ -519,21 +560,37 @@ class ShardedEventQueue : public EventQueue {
     SequencedFn fn;
   };
 
-  static constexpr int kShardShift = 56;  // EventId = shard << 56 | local id
+  // Where a shard's earliest pending event lives (PeekShard's answer).
+  enum class Head { kNone, kHeap, kTimer };
 
-  bool PeekShard(size_t s, Key* key) const;
-  bool GlobalPeek(size_t* shard, Key* key) const;
+  // EventId = shard << 56 | gen << 26 | slot. The slot field holds 2^26
+  // pending events per shard (a 16M-client cell holds one start event per
+  // client); the low 30 bits of the slot generation fill the rest. Shard
+  // ids stop at bit 61, so bit 63 stays free for kTimerHeapBit.
+  static constexpr int kShardShift = 56;
+  static constexpr int kSlotBits = 26;
+  static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
+  static constexpr uint64_t kGenMask = (uint64_t{1} << (kShardShift - kSlotBits)) - 1;
+
+  // Drops stale entries from the top of shard s's heap and reports where
+  // its earliest pending event lives (heap or wheel), with its key.
+  Head PeekShard(size_t s, Key* key) const;
+  Head GlobalPeek(size_t* shard, Key* key) const;
   EventId Insert(size_t shard, Key key, StreamId exec, Callback fn);
   // Window-cap / drain-floor bookkeeping shared by heap inserts and wheel
   // arms (both make a pending deadline visible to the scheduler).
   void NoteInsert(size_t shard, Cycles when);
-  // True when shard s's wheel due-top precedes its (compacted) heap top.
-  bool TimerFirst(const Shard& sh, TimerKey* tk) const;
-  // Pops and runs the head of shard `s` (caller guarantees it exists).
-  void ExecuteTop(size_t s);
+  // Pops and runs the head of shard `s`; `head` is the answer of the
+  // PeekShard call made just before (never kNone).
+  void ExecuteTop(size_t s, Head head);
   // Runs every event of shard `s` with key.when < min(window_horizon,
   // window_cap) — the bounds set up by RunUntil for the current window.
   void RunShardWindow(size_t s);
+  // RunUntil's windowed scheduler (several shards or adaptive horizons)
+  // and its single-shard equivalent: the same windows, boundaries, drains
+  // and counters, without the per-window horizon vectors.
+  void RunWindows(Cycles deadline);
+  void RunSerialWindows(Cycles deadline);
   // Runs deposited transactions in deterministic key order (serial points
   // only — never while workers run).
   void DrainTransactions();
@@ -546,6 +603,8 @@ class ShardedEventQueue : public EventQueue {
   Cycles lookahead_ = 0;
   bool adaptive_ = false;
   std::vector<Txn> txns_;
+  // Guards txns_ against concurrent deposits from parallel-window workers;
+  // every other access happens on the scheduling thread.
   std::mutex txn_mu_;
   std::unique_ptr<ShardGang> gang_;
   bool in_parallel_window_ = false;

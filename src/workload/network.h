@@ -44,10 +44,13 @@ class SharedLink {
   // the medium frees up + serialization + latency.
   //
   // The medium is the one piece of state shared between streams, so the
-  // send runs as a sequenced transaction (EventQueue::PostSequenced):
-  // inline on a serial queue, deposited and drained in deterministic key
-  // order on a sharded one. Either way arbitration order and results are
-  // identical. Safe to call from any stream (EA002 barrier).
+  // send runs as a sequenced transaction (EventQueue::PostSequenced). In
+  // RunUntil windows on a sharded queue it is deposited and drained in
+  // deterministic key order, so arbitration is identical at any shard
+  // count. That order is not the post order: a Step-driven run (and the
+  // serial queue) runs each body inline as it is posted, so its
+  // arbitration can differ from a RunUntil-driven run of the same events.
+  // Safe to call from any stream (EA002 barrier).
   // ESCORT_SHARD_SAFE
   void Send(const MacAddr& src, std::vector<uint8_t> frame);
 

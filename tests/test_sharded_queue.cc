@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace escort {
@@ -105,6 +106,76 @@ TEST(ShardedQueue, CancelWorksAcrossShards) {
   EXPECT_EQ(eq.fired_count(), 1u);
 }
 
+// Event ids carry the slot's generation: a slot freed by firing or
+// cancelling is reused by the next event on its shard, and the old id
+// stays dead. Each case runs on a stream homed on the last shard.
+class ShardedQueueGenerations : public ::testing::TestWithParam<int> {
+ protected:
+  ShardedQueueGenerations() : eq_(GetParam(), 50), stream_(eq_.NewStream(GetParam() - 1)) {}
+  EventQueue::EventId ScheduleOnStream(Cycles when, EventQueue::Callback fn) {
+    EventQueue::StreamScope scope(&eq_, stream_);
+    return eq_.ScheduleAt(when, std::move(fn));
+  }
+
+  ShardedEventQueue eq_;
+  EventQueue::StreamId stream_;
+};
+
+TEST_P(ShardedQueueGenerations, FiredIdStaysDeadAfterItsSlotIsReused) {
+  EventQueue::EventId first = ScheduleOnStream(10, [] {});
+  eq_.RunUntil(10);
+  int fired = 0;
+  EventQueue::EventId second = ScheduleOnStream(20, [&fired] { ++fired; });
+  EXPECT_EQ(eq_.consumed_slot_count(), 1u);  // the fired event's slot was reused
+  EXPECT_NE(first, second);
+  EXPECT_FALSE(eq_.Cancel(first));
+  EXPECT_EQ(eq_.pending(), 1u);
+  eq_.RunUntil(100);
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(eq_.Cancel(second));
+}
+
+TEST_P(ShardedQueueGenerations, DoubleCancelFails) {
+  EventQueue::EventId id = ScheduleOnStream(10, [] {});
+  EXPECT_TRUE(eq_.Cancel(id));
+  EXPECT_FALSE(eq_.Cancel(id));
+  // Reusing the slot does not revive the cancelled id.
+  EventQueue::EventId reuse = ScheduleOnStream(30, [] {});
+  EXPECT_FALSE(eq_.Cancel(id));
+  EXPECT_TRUE(eq_.Cancel(reuse));
+  EXPECT_TRUE(eq_.empty());
+}
+
+TEST_P(ShardedQueueGenerations, CancelledCallbackNeverRuns) {
+  std::vector<Cycles> fired_at;
+  // The cancelled event's heap entry (t=10) outlives the cancel, and its
+  // slot is reused by an event at t=50. The stale entry must be skipped,
+  // not mistaken for the slot's new occupant.
+  EventQueue::EventId doomed = ScheduleOnStream(10, [&] { fired_at.push_back(10); });
+  EXPECT_TRUE(eq_.Cancel(doomed));
+  ScheduleOnStream(50, [&] { fired_at.push_back(eq_.now()); });
+  eq_.RunUntil(100);
+  EXPECT_EQ(fired_at, (std::vector<Cycles>{50}));
+  EXPECT_EQ(eq_.fired_count(), 1u);
+}
+
+// Port of EventQueue.ConsumedBookkeepingIsCompacted: a long schedule/
+// cancel/fire churn keeps the slot table bounded by outstanding events.
+TEST_P(ShardedQueueGenerations, SlotTableIsBoundedByOutstandingEvents) {
+  constexpr int kRounds = 100000;
+  for (int i = 0; i < kRounds; ++i) {
+    EventQueue::StreamScope scope(&eq_, stream_);
+    eq_.ScheduleAfter(1, [] {});
+    EventQueue::EventId cancelled = eq_.ScheduleAfter(2, [] {});
+    EXPECT_TRUE(eq_.Cancel(cancelled));
+    eq_.Step();
+  }
+  EXPECT_EQ(eq_.fired_count(), static_cast<uint64_t>(kRounds));
+  EXPECT_LT(eq_.consumed_slot_count(), 16u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ShardedQueueGenerations, ::testing::Values(1, 4));
+
 TEST(ShardedQueue, PeekAndStepSeeTheGlobalMinimum) {
   ShardedEventQueue eq(4, 50);
   EventQueue::StreamId s1 = eq.NewStream(1);
@@ -197,6 +268,109 @@ TEST(ShardedQueue, SequencedTransactionsDrainInKeyOrder) {
   ASSERT_EQ(txns.size(), 2u);
   EXPECT_EQ(txns[0], (std::pair<uint32_t, Cycles>{s1, 10}));  // stream order, not post order
   EXPECT_EQ(txns[1], (std::pair<uint32_t, Cycles>{s2, 10}));
+}
+
+// The drain order is the key order, not the post order, and the two can
+// differ inside one window. Streams are created A, C, B. A's transaction at
+// t=10 delivers to B at t=110 with key (110, A, ...); that delivery posts
+// a body "B" keyed (110, B). C posts a body "C" keyed (110, C) from its own
+// event at t=110, which runs after the delivery (stream C > stream A).
+// RunUntil deposits both and drains them in key order (C < B): "CB".
+// Step and RunToCompletion run each body inline as it is posted: "BC".
+std::string RunTransactionOrderScript(int shards, bool step_driven) {
+  ShardedEventQueue eq(shards, /*lookahead=*/50);
+  EventQueue::StreamId a = eq.NewStream(1);
+  EventQueue::StreamId c = eq.NewStream(2);
+  EventQueue::StreamId b = eq.NewStream(3);
+  std::string order;
+  {
+    EventQueue::StreamScope scope(&eq, a);
+    eq.ScheduleAt(10, [&eq, &order, b] {
+      eq.PostSequenced([&eq, &order, b](Cycles send_time) {
+        eq.ScheduleAtFrom(b, send_time + 100, [&eq, &order] {
+          eq.PostSequenced([&order](Cycles) { order += "B"; });
+        });
+      });
+    });
+  }
+  {
+    EventQueue::StreamScope scope(&eq, c);
+    eq.ScheduleAt(110, [&eq, &order] { eq.PostSequenced([&order](Cycles) { order += "C"; }); });
+  }
+  if (step_driven) {
+    eq.RunToCompletion();
+  } else {
+    eq.RunUntil(1000);
+  }
+  return order;
+}
+
+TEST(ShardedQueue, TransactionDrainFollowsKeyOrderNotPostOrder) {
+  for (int shards : {1, 2}) {
+    EXPECT_EQ(RunTransactionOrderScript(shards, /*step_driven=*/false), "CB")
+        << "shards=" << shards;
+    EXPECT_EQ(RunTransactionOrderScript(shards, /*step_driven=*/true), "BC")
+        << "shards=" << shards;
+  }
+}
+
+// A one-shard queue runs RunUntil as a direct loop; a two-shard queue
+// whose streams all live on shard 0 runs the windowed scheduler over the
+// same windows. Both must fire the same events in the same order and
+// count the same windows, cycles and drains. The script holds a
+// transaction back: body A arms and cancels an event below B's post time,
+// which holds B past the boundary, and the next pending event (t=500) is
+// beyond B's time + L, so one window closes before it opens.
+TEST(ShardedQueue, SingleShardLoopMatchesWindowedScheduler) {
+  struct Run {
+    std::vector<int> order;
+    ShardProfile profile;
+  };
+  auto run = [](int shards) {
+    ShardedEventQueue eq(shards, /*lookahead=*/50);
+    EventQueue::StreamId s1 = eq.NewStream(0);
+    EventQueue::StreamId s2 = eq.NewStream(0);
+    Run r;
+    {
+      EventQueue::StreamScope scope(&eq, s1);
+      eq.ScheduleAt(10, [&] {
+        eq.PostSequenced([&](Cycles send_time) {
+          r.order.push_back(1);
+          eq.Cancel(eq.ScheduleAt(send_time + 1, [&] { r.order.push_back(-1); }));
+        });
+      });
+      eq.ScheduleAt(20, [&] {
+        eq.PostSequenced([&, s2](Cycles send_time) {
+          r.order.push_back(2);
+          eq.ScheduleAtFrom(s2, send_time + 50, [&] { r.order.push_back(3); });
+        });
+      });
+      eq.ScheduleAt(500, [&] { r.order.push_back(4); });
+      for (Cycles t = 600; t < 900; t += 7) {
+        eq.ScheduleAt(t, [&] { eq.PostSequenced([&](Cycles) { r.order.push_back(5); }); });
+      }
+    }
+    eq.RunUntil(1000);
+    r.profile = eq.Profile();
+    return r;
+  };
+  Run serial = run(1);
+  Run windowed = run(2);
+  EXPECT_EQ(serial.order, windowed.order);
+  ASSERT_GE(serial.order.size(), 4u);
+  EXPECT_EQ((std::vector<int>(serial.order.begin(), serial.order.begin() + 4)),
+            (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(serial.profile.windows_run, windowed.profile.windows_run);
+  EXPECT_EQ(serial.profile.window_cycles, windowed.profile.window_cycles);
+  EXPECT_EQ(serial.profile.txns_drained, windowed.profile.txns_drained);
+  EXPECT_EQ(serial.profile.max_mailbox_depth, windowed.profile.max_mailbox_depth);
+  EXPECT_EQ(serial.profile.per_shard[0].events_fired, windowed.profile.per_shard[0].events_fired);
+  EXPECT_EQ(serial.profile.per_shard[0].windows_woken,
+            windowed.profile.per_shard[0].windows_woken);
+  EXPECT_EQ(serial.profile.per_shard[0].windows_active,
+            windowed.profile.per_shard[0].windows_active);
+  // The window that closed before opening counts as run but not woken.
+  EXPECT_EQ(serial.profile.windows_run, serial.profile.per_shard[0].windows_woken + 1);
 }
 
 // Children of one sequenced transaction inherit its (stream, seq) and are
