@@ -41,6 +41,35 @@ void BM_DispatchLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_DispatchLoop)->Arg(0)->Arg(1)->ArgNames({"accounting"});
 
+// --- Stride scheduler: ready-queue churn -----------------------------------------
+
+// Dequeue -> AccountRun -> Enqueue with `ready` threads queued, one owner each.
+// Owner 0 holds the QoS ticket count against best-effort owners, so it runs
+// most often, as the QoS path does in Figures 10 and 11.
+void BM_StrideDequeue(benchmark::State& state) {
+  const auto ready = static_cast<size_t>(state.range(0));
+  EventQueue eq;
+  KernelConfig kc;
+  kc.start_softclock = false;
+  Kernel kernel(&eq, kc);
+  std::vector<std::unique_ptr<Owner>> owners;
+  ProportionalShareScheduler sched;
+  for (size_t i = 0; i < ready; ++i) {
+    owners.push_back(std::make_unique<Owner>(OwnerType::kKernel, kernel.NextOwnerId(), "o"));
+    kernel.RegisterOwner(owners.back().get(), "o");
+    owners.back()->sched().tickets = i == 0 ? 12'000 : 100;
+    sched.Enqueue(kernel.CreateThread(owners.back().get(), "t"));
+  }
+  for (auto _ : state) {
+    Thread* t = sched.Dequeue();
+    sched.AccountRun(t, 1000);
+    sched.Enqueue(t);
+    benchmark::DoNotOptimize(t);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_StrideDequeue)->Arg(8)->Arg(32)->Arg(256)->ArgNames({"ready"});
+
 // --- IOBuffer allocation: cold vs cache hit -----------------------------------
 
 void BM_IoBufferAlloc(benchmark::State& state) {

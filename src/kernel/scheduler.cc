@@ -1,6 +1,7 @@
 #include "src/kernel/scheduler.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 
 namespace escort {
@@ -56,6 +57,7 @@ bool PriorityScheduler::Empty() const {
 // --- ProportionalShareScheduler ---------------------------------------------
 
 void ProportionalShareScheduler::Enqueue(Thread* t) {
+  assert(t->ready_index_ == Thread::kNotReady && "thread enqueued twice");
   SchedState& s = t->owner()->sched();
   if (!s.pass_initialized || s.pass < global_pass_) {
     // A newly arriving (or long-sleeping) owner joins at the current virtual
@@ -63,37 +65,28 @@ void ProportionalShareScheduler::Enqueue(Thread* t) {
     s.pass = global_pass_;
     s.pass_initialized = true;
   }
-  ready_.push_back(t);
-  ++live_;
-}
-
-void ProportionalShareScheduler::CollectTombstones() {
-  while (!ready_.empty() && ready_.front() == nullptr) {
-    ready_.pop_front();
-  }
-  if (ready_.size() > 2 * live_) {
-    ready_.erase(std::remove(ready_.begin(), ready_.end(), nullptr), ready_.end());
-  }
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1, Entry{s.pass, next_seq_++, t});
 }
 
 Thread* ProportionalShareScheduler::Dequeue() {
-  auto best = ready_.end();
-  for (auto it = ready_.begin(); it != ready_.end(); ++it) {
-    if (*it == nullptr) {
-      continue;
-    }
-    if (best == ready_.end() ||
-        (*it)->owner()->sched().pass < (*best)->owner()->sched().pass) {
-      best = it;
-    }
-  }
-  if (best == ready_.end()) {
+  if (heap_.empty()) {
     return nullptr;
   }
-  Thread* t = *best;
-  *best = nullptr;
-  --live_;
-  CollectTombstones();
+  // Stored keys are lower bounds of the current ones, so once the root's
+  // key is current no other entry can precede it.
+  for (;;) {
+    const uint64_t pass = heap_[0].thread->owner()->sched().pass;
+    if (pass == heap_[0].pass) {
+      break;
+    }
+    assert(pass > heap_[0].pass && "owner pass moved backwards while queued");
+    Entry root = heap_[0];
+    root.pass = pass;
+    SiftDown(0, root);
+  }
+  Thread* t = heap_[0].thread;
+  EraseAt(0);
   // The global virtual time is the *minimum* pass in the system (the pass
   // of the owner just selected). Arriving owners join at this time: they
   // cannot hoard credit from a sleep, and a high-ticket owner that blocks
@@ -103,11 +96,8 @@ Thread* ProportionalShareScheduler::Dequeue() {
 }
 
 void ProportionalShareScheduler::Remove(Thread* t) {
-  auto it = std::find(ready_.begin(), ready_.end(), t);
-  if (it != ready_.end()) {
-    *it = nullptr;
-    --live_;
-    CollectTombstones();
+  if (t->ready_index_ != Thread::kNotReady) {
+    EraseAt(t->ready_index_);
   }
 }
 
@@ -119,7 +109,55 @@ void ProportionalShareScheduler::AccountRun(Thread* t, Cycles used) {
   s.pass += used * kStrideScale / tickets;
 }
 
-bool ProportionalShareScheduler::Empty() const { return live_ == 0; }
+void ProportionalShareScheduler::Place(size_t i, const Entry& e) {
+  heap_[i] = e;
+  e.thread->ready_index_ = i;
+}
+
+void ProportionalShareScheduler::SiftUp(size_t i, Entry e) {
+  while (i > 0) {
+    const size_t parent = (i - 1) / 2;
+    if (!Before(e, heap_[parent])) {
+      break;
+    }
+    Place(i, heap_[parent]);
+    i = parent;
+  }
+  Place(i, e);
+}
+
+void ProportionalShareScheduler::SiftDown(size_t i, Entry e) {
+  const size_t n = heap_.size();
+  for (;;) {
+    size_t child = 2 * i + 1;
+    if (child >= n) {
+      break;
+    }
+    if (child + 1 < n && Before(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!Before(heap_[child], e)) {
+      break;
+    }
+    Place(i, heap_[child]);
+    i = child;
+  }
+  Place(i, e);
+}
+
+void ProportionalShareScheduler::EraseAt(size_t i) {
+  heap_[i].thread->ready_index_ = Thread::kNotReady;
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) {
+    return;
+  }
+  if (i > 0 && Before(last, heap_[(i - 1) / 2])) {
+    SiftUp(i, last);
+  } else {
+    SiftDown(i, last);
+  }
+}
 
 // --- EdfScheduler -------------------------------------------------------------
 

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/kernel/thread.h"
 
@@ -59,27 +60,44 @@ class PriorityScheduler : public Scheduler {
 // owner with the smallest pass value runs next and its pass advances in
 // inverse proportion to its tickets. This is the scheduler that sustains the
 // 1 MB/s QoS stream in Figures 10 and 11.
+//
+// The ready queue is an indexed binary min-heap ordered by (pass, seq):
+// `seq` counts enqueues, so ties go to the earliest arrival, and each thread
+// records its heap slot so Remove is O(log n). An entry keeps the owner's
+// pass from when it was last keyed. Pass only grows (AccountRun adds to it,
+// Enqueue raises it to the global pass), so a stored key can only be low;
+// Dequeue re-keys the root until its key is current, which makes it the true
+// (pass, seq) minimum.
 class ProportionalShareScheduler : public Scheduler {
  public:
   void Enqueue(Thread* t) override;
   Thread* Dequeue() override;
   void Remove(Thread* t) override;
   void AccountRun(Thread* t, Cycles used) override;
-  bool Empty() const override;
+  bool Empty() const override { return heap_.empty(); }
   const char* name() const override { return "proportional-share"; }
 
  private:
   static constexpr uint64_t kStrideScale = 1 << 20;
 
-  // Dequeue picks the minimum-pass thread, ties broken by queue position
-  // — so removal must not disturb the order of the survivors. A removed
-  // thread leaves a null tombstone instead of shifting the deque;
-  // tombstones are popped eagerly at the front and compacted when they
-  // outnumber live entries.
-  void CollectTombstones();
+  struct Entry {
+    uint64_t pass;  // owner's pass when keyed; never above the current one
+    uint64_t seq;   // enqueue order: the tie-break
+    Thread* thread;
+  };
 
-  std::deque<Thread*> ready_;
-  size_t live_ = 0;
+  static bool Before(const Entry& a, const Entry& b) {
+    return a.pass < b.pass || (a.pass == b.pass && a.seq < b.seq);
+  }
+  // Stores `e` at slot `i` and records the slot in its thread.
+  void Place(size_t i, const Entry& e);
+  void SiftUp(size_t i, Entry e);
+  void SiftDown(size_t i, Entry e);
+  // Removes the entry at slot `i`, refilling the hole from the back.
+  void EraseAt(size_t i);
+
+  std::vector<Entry> heap_;
+  uint64_t next_seq_ = 0;
   uint64_t global_pass_ = 0;
 };
 

@@ -20,9 +20,12 @@
 #ifndef SRC_KERNEL_THREAD_H_
 #define SRC_KERNEL_THREAD_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
+#include <list>
 #include <set>
 #include <string>
 
@@ -32,6 +35,7 @@
 namespace escort {
 
 class Kernel;
+class ProportionalShareScheduler;
 class Semaphore;
 
 struct WorkItem {
@@ -84,7 +88,10 @@ class Thread {
 
  private:
   friend class Kernel;
+  friend class ProportionalShareScheduler;
   friend class Semaphore;
+
+  static constexpr size_t kNotReady = std::numeric_limits<size_t>::max();
 
   Kernel* const kernel_;
   Owner* const owner_;
@@ -98,6 +105,8 @@ class Thread {
   std::set<PdId> stacks_;
   Semaphore* blocked_on_ = nullptr;
   std::list<Thread*>::iterator owner_link_;
+  // Slot in the proportional-share ready heap; kNotReady when not queued.
+  size_t ready_index_ = kNotReady;
 };
 
 }  // namespace escort
