@@ -13,7 +13,11 @@
 //    batch,
 //  * deep heap: one shard holding ~10^5 pending events (a large client
 //    crowd's worth) under pop/push churn with one cancel in four — the
-//    heap-entry, slot-table and stale-entry cost of the single-shard loop.
+//    heap-entry, slot-table and stale-entry cost of the single-shard loop,
+//  * schedule-and-fire over capture sizes: 16 and 40 bytes fit a
+//    callback's inline storage, 96 bytes falls back to the heap,
+//  * link broadcast: one ARP-sized broadcast on a 2,000-port SharedLink —
+//    the per-receiver delivery cost of a spoofed-source SYN flood.
 //
 // Wall-clock events/sec here measure the simulator itself (host-machine
 // dependent); the committed trajectory gate works on ratios instead —
@@ -21,10 +25,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/sim/event_queue.h"
+#include "src/workload/network.h"
 
 namespace escort {
 namespace {
@@ -200,6 +208,80 @@ void BM_DeepHeap(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(events));
 }
 BENCHMARK(BM_DeepHeap)->Arg(1)->ArgNames({"shards"});
+
+// Schedules `batch` events whose callbacks capture `Bytes` bytes (a
+// pointer plus padding) and fires them all; one iteration = one batch.
+template <size_t Bytes>
+void ScheduleAndFire(benchmark::State& state) {
+  constexpr int kBatch = 4096;
+  ShardedEventQueue eq(1, kLookahead);
+  uint64_t sink = 0;
+  std::array<char, Bytes - sizeof(uint64_t*)> pad{};
+  pad[0] = static_cast<char>(state.range(1));
+  uint64_t events = 0;
+  for (auto _ : state) {
+    const Cycles base = eq.now();
+    for (int i = 0; i < kBatch; ++i) {
+      eq.ScheduleAt(base + 1 + static_cast<Cycles>(i % 64),
+                    [&sink, pad] { sink += static_cast<uint64_t>(pad[0]); });
+    }
+    eq.RunUntil(base + 64);
+    events += kBatch;
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+}
+
+void BM_ScheduleFire(benchmark::State& state) {
+  switch (state.range(0)) {
+    case 16:
+      ScheduleAndFire<16>(state);
+      break;
+    case 40:
+      ScheduleAndFire<40>(state);
+      break;
+    default:
+      ScheduleAndFire<96>(state);
+      break;
+  }
+}
+BENCHMARK(BM_ScheduleFire)
+    ->Args({16, 1})
+    ->Args({40, 1})
+    ->Args({96, 1})
+    ->ArgNames({"capture", "shards"});
+
+class CountingEndpoint : public NetEndpoint {
+ public:
+  void DeliverFrame(const std::vector<uint8_t>& frame) override { bytes += frame.size(); }
+  uint64_t bytes = 0;
+};
+
+// One iteration = one 60-byte broadcast delivered to every other port.
+void BM_LinkBroadcast(benchmark::State& state) {
+  const int ports = static_cast<int>(state.range(0));
+  const NetworkModel model = NetworkModel::Calibrated();
+  ShardedEventQueue eq(1, SharedLink::MinDeliveryLatency(model));
+  SharedLink link(&eq, model);
+  std::vector<std::unique_ptr<CountingEndpoint>> endpoints;
+  for (int i = 0; i < ports; ++i) {
+    endpoints.push_back(std::make_unique<CountingEndpoint>());
+    link.Attach(MacAddr::FromIndex(static_cast<uint64_t>(i) + 1), endpoints.back().get());
+  }
+  std::vector<uint8_t> frame(60, 0);
+  std::copy_n(MacAddr::Broadcast().bytes.begin(), 6, frame.begin());
+  const MacAddr sender = MacAddr::FromIndex(1);
+  uint64_t deliveries = 0;
+  for (auto _ : state) {
+    const uint64_t before = eq.fired_count();
+    link.Send(sender, frame);
+    eq.RunUntil(eq.now() + CyclesFromMillis(1));
+    deliveries += eq.fired_count() - before;
+  }
+  benchmark::DoNotOptimize(endpoints.back()->bytes);
+  state.SetItemsProcessed(static_cast<int64_t>(deliveries));
+}
+BENCHMARK(BM_LinkBroadcast)->Args({2000, 1})->ArgNames({"ports", "shards"});
 
 }  // namespace
 }  // namespace escort

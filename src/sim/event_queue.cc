@@ -445,12 +445,17 @@ void ShardedEventQueue::DrainTransactions() {
     // Key order, which depends only on the total event order and so is
     // the same at any shard count. It is not the post order: within one
     // window, a lower stream's body posted later at the same time runs
-    // first (seqs are monotonic per stream only).
-    std::stable_sort(held_txns_.begin(), held_txns_.end(), [](const Txn& a, const Txn& b) {
-      if (a.when != b.when) return a.when < b.when;
-      if (a.stream != b.stream) return a.stream < b.stream;
-      return a.seq < b.seq;
-    });
+    // first (seqs are monotonic per stream only). Keys are unique — every
+    // transaction consumes its own seq from its stream (PostSequenced) —
+    // so an unstable sort gives the same order without stable_sort's
+    // temporary buffer.
+    if (held_txns_.size() > 1) {
+      std::sort(held_txns_.begin(), held_txns_.end(), [](const Txn& a, const Txn& b) {
+        if (a.when != b.when) return a.when < b.when;
+        if (a.stream != b.stream) return a.stream < b.stream;
+        return a.seq < b.seq;
+      });
+    }
   }
   if (held_txns_.empty()) {
     return;

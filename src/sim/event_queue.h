@@ -33,12 +33,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <queue>
 #include <vector>
 
+#include "src/sim/inline_fn.h"
 #include "src/sim/timer_wheel.h"
 #include "src/sim/types.h"
 
@@ -101,7 +101,9 @@ class ConsumedLedger {
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  // Move-only; captures up to InlineFn::kCapacity bytes live in the
+  // queue's own slot (src/sim/inline_fn.h).
+  using Callback = InlineFn<void()>;
   using EventId = uint64_t;
   // Identity of an actor for deterministic ordering. Stream 0 always
   // exists (the server/kernel/main context); testbeds allocate one stream
@@ -109,7 +111,7 @@ class EventQueue {
   using StreamId = uint32_t;
   // A sequenced cross-actor transaction body; receives the simulated time
   // at which the transaction was posted.
-  using SequencedFn = std::function<void(Cycles send_time)>;
+  using SequencedFn = InlineFn<void(Cycles send_time)>;
 
   EventQueue() = default;
   virtual ~EventQueue() = default;
@@ -467,7 +469,7 @@ class ShardedEventQueue : public EventQueue {
 
   // A heap entry: the event's key plus the slot-table handle that holds
   // its callback. Trivially copyable, so heap sifts never move a
-  // std::function. The entry is stale (a cancelled event) when `gen` no
+  // callback. The entry is stale (a cancelled event) when `gen` no
   // longer matches its slot's generation.
   struct Entry {
     Key key;
@@ -485,6 +487,7 @@ class ShardedEventQueue : public EventQueue {
     uint32_t gen = 0;
     StreamId exec = 0;
   };
+  static_assert(sizeof(Slot) == 64, "a slot (callback + inline capture) is one cache line");
 
   // Min-heap of Entry with a pre-reserved backing vector: shard heaps churn
   // tens of thousands of push/pop pairs per cell, and std::priority_queue

@@ -32,9 +32,9 @@
 #define SRC_SIM_TIMER_WHEEL_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "src/sim/inline_fn.h"
 #include "src/sim/types.h"
 
 namespace escort {
@@ -64,7 +64,7 @@ struct TimerRef {
 // ESCORT_SHARD_CONTEXT
 class TimerWheel {
  public:
-  using Callback = std::function<void()>;
+  using Callback = InlineFn<void()>;
 
   TimerWheel();
   ~TimerWheel();

@@ -325,14 +325,15 @@ void ClientMachine::DeliverFrame(const std::vector<uint8_t>& frame) {
   // Client-side processing delay before the peer reacts. The dispatch
   // captures the handle, not the port: a connection released and its port
   // re-issued between schedule and fire must not swallow the segment.
+  // The payload moves into the closure: no copy per data segment.
   TcpHeader hdr = parsed->tcp;
-  std::vector<uint8_t> payload = std::move(parsed->payload);
   ConnHandle h = peer->self_;
-  eq_->ScheduleTimerAfter(model_.client_processing / 4, [this, h, hdr, payload] {
-    if (TcpPeer* p = ResolvePeer(h); p != nullptr) {
-      p->OnSegment(hdr, payload);
-    }
-  });
+  eq_->ScheduleTimerAfter(
+      model_.client_processing / 4, [this, h, hdr, payload = std::move(parsed->payload)] {
+        if (TcpPeer* p = ResolvePeer(h); p != nullptr) {
+          p->OnSegment(hdr, payload);
+        }
+      });
 }
 
 }  // namespace escort

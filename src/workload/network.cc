@@ -1,15 +1,89 @@
 #include "src/workload/network.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 namespace escort {
 
-void SharedLink::Attach(const MacAddr& mac, NetEndpoint* endpoint, Cycles extra_latency) {
-  ports_[mac] = Port{endpoint, extra_latency, eq_->current_stream()};
+uint64_t SharedLink::MacKey(const MacAddr& mac) {
+  uint64_t key = 0;
+  for (uint8_t b : mac.bytes) {
+    key = (key << 8) | b;
+  }
+  return key;
 }
 
-void SharedLink::Detach(const MacAddr& mac) { ports_.erase(mac); }
+size_t SharedLink::HomeSlot(uint64_t key) const {
+  // Fibonacci hashing: testbed MACs differ only in their low bytes.
+  return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) & (table_.size() - 1);
+}
+
+size_t SharedLink::FindSlot(uint64_t key) const {
+  const size_t mask = table_.size() - 1;
+  size_t i = HomeSlot(key);
+  while (table_[i].mac != key && table_[i].mac != kNoPort) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void SharedLink::Grow() {
+  std::vector<Port> old = std::move(table_);
+  table_.assign(old.size() * 2, Port{});
+  for (const Port& port : old) {
+    if (port.mac != kNoPort) {
+      table_[FindSlot(port.mac)] = port;
+    }
+  }
+}
+
+void SharedLink::Attach(const MacAddr& mac, NetEndpoint* endpoint, Cycles extra_latency) {
+  if (2 * (port_count_ + 1) > table_.size()) {
+    Grow();
+  }
+  const uint64_t key = MacKey(mac);
+  Port& port = table_[FindSlot(key)];
+  if (port.mac == kNoPort) {
+    ++port_count_;
+  }
+  port = Port{key, endpoint, extra_latency, eq_->current_stream()};
+  by_mac_stale_ = true;
+}
+
+void SharedLink::Detach(const MacAddr& mac) {
+  size_t hole = FindSlot(MacKey(mac));
+  if (table_[hole].mac == kNoPort) {
+    return;
+  }
+  // Backward-shift deletion: pull later entries of the probe run into the
+  // hole when their home slot allows it, so lookups never need tombstones.
+  const size_t mask = table_.size() - 1;
+  for (size_t j = (hole + 1) & mask; table_[j].mac != kNoPort; j = (j + 1) & mask) {
+    if (((j - HomeSlot(table_[j].mac)) & mask) >= ((j - hole) & mask)) {
+      table_[hole] = table_[j];
+      hole = j;
+    }
+  }
+  table_[hole] = Port{};
+  --port_count_;
+  by_mac_stale_ = true;
+}
+
+const std::vector<uint32_t>& SharedLink::BroadcastOrder() {
+  if (by_mac_stale_) {
+    by_mac_.clear();
+    for (size_t i = 0; i < table_.size(); ++i) {
+      if (table_[i].mac != kNoPort) {
+        by_mac_.push_back(static_cast<uint32_t>(i));
+      }
+    }
+    std::sort(by_mac_.begin(), by_mac_.end(),
+              [this](uint32_t a, uint32_t b) { return table_[a].mac < table_[b].mac; });
+    by_mac_stale_ = false;
+  }
+  return by_mac_;
+}
 
 Cycles SharedLink::SerializationTime(size_t frame_bytes) const {
   // Preamble + IFG + CRC overhead on the wire; 64-byte minimum frame.
@@ -52,22 +126,27 @@ void SharedLink::TransmitSequenced(const MacAddr& src, const MacAddr& dst,
 
   Cycles at = medium_free_;
   if (dst.IsBroadcast()) {
-    for (auto& [mac, port] : ports_) {
-      if (mac == src) {
+    // One immutable buffer for all receivers: each delivery holds a
+    // reference to it, not a copy.
+    auto shared = std::make_shared<const std::vector<uint8_t>>(std::move(frame));
+    const uint64_t src_key = MacKey(src);
+    for (uint32_t slot : BroadcastOrder()) {
+      const Port& port = table_[slot];
+      if (port.mac == src_key) {
         continue;
       }
       NetEndpoint* ep = port.endpoint;
       eq_->ScheduleAtFrom(port.stream, at + port.extra_latency,
-                          [ep, frame] { ep->DeliverFrame(frame); });
+                          [ep, shared] { ep->DeliverFrame(*shared); });
     }
     return;
   }
-  auto it = ports_.find(dst);
-  if (it == ports_.end()) {
+  const Port& port = table_[FindSlot(MacKey(dst))];
+  if (port.mac == kNoPort) {
     return;
   }
-  NetEndpoint* ep = it->second.endpoint;
-  eq_->ScheduleAtFrom(it->second.stream, at + it->second.extra_latency,
+  NetEndpoint* ep = port.endpoint;
+  eq_->ScheduleAtFrom(port.stream, at + port.extra_latency,
                       [ep, frame = std::move(frame)] { ep->DeliverFrame(frame); });
 }
 

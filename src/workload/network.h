@@ -11,7 +11,6 @@
 #define SRC_WORKLOAD_NETWORK_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/elib/address.h"
@@ -40,8 +39,12 @@ class SharedLink {
   void Detach(const MacAddr& mac);
 
   // Transmits a frame. Unicast goes to the owner of the destination MAC;
-  // broadcast goes to everyone except the sender. Delivery happens after
-  // the medium frees up + serialization + latency.
+  // broadcast goes to everyone except the sender, in ascending MAC order.
+  // Delivery happens after the medium frees up + serialization + latency.
+  // A unicast delivery carries the frame itself; a broadcast wraps it once
+  // in an immutable shared buffer that every receiver reads (the same
+  // bytes at the same address; the refcount is atomic because deliveries
+  // on different shards run in parallel windows).
   //
   // The medium is the one piece of state shared between streams, so the
   // send runs as a sequenced transaction (EventQueue::PostSequenced). In
@@ -69,7 +72,13 @@ class SharedLink {
   double utilization(Cycles window_start, Cycles window_end) const;
 
  private:
+  // The 48-bit MAC as a big-endian integer: integer order is byte-wise
+  // MAC order.
+  static uint64_t MacKey(const MacAddr& mac);
+  static constexpr uint64_t kNoPort = ~uint64_t{0};  // empty table slot
+
   struct Port {
+    uint64_t mac = kNoPort;
     NetEndpoint* endpoint = nullptr;
     Cycles extra_latency = 0;
     EventQueue::StreamId stream = 0;  // deliveries run in this stream
@@ -79,11 +88,22 @@ class SharedLink {
   // Body of Send: runs at a serial point in sequenced-transaction order.
   void TransmitSequenced(const MacAddr& src, const MacAddr& dst, std::vector<uint8_t> frame,
                          Cycles send_time);
+  // Port table: open addressing with linear probing, capacity a power of
+  // two at most half full. Returns the slot holding `key`, or the empty
+  // slot where it would go.
+  size_t FindSlot(uint64_t key) const;
+  size_t HomeSlot(uint64_t key) const;
+  void Grow();
+  // Table slots of the ports in ascending MAC order, rebuilt on the first
+  // broadcast after an Attach/Detach.
+  const std::vector<uint32_t>& BroadcastOrder();
 
   EventQueue* const eq_;
   const NetworkModel model_;
-  std::map<MacAddr, Port, bool (*)(const MacAddr&, const MacAddr&)> ports_{
-      [](const MacAddr& a, const MacAddr& b) { return a.bytes < b.bytes; }};
+  std::vector<Port> table_ = std::vector<Port>(16);
+  size_t port_count_ = 0;
+  std::vector<uint32_t> by_mac_;
+  bool by_mac_stale_ = false;
   Cycles medium_free_ = 0;
   uint64_t frames_ = 0;
   uint64_t bytes_ = 0;

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <memory>
 
 #include "src/elib/bounded_queue.h"
 #include "src/workload/experiment.h"
@@ -69,6 +71,155 @@ TEST(SharedLink, BroadcastReachesEveryoneButSender) {
   EXPECT_EQ(a.frames, 0u);
   EXPECT_EQ(b.frames, 1u);
   EXPECT_EQ(c.frames, 1u);
+}
+
+// Records which endpoint received each frame, and where the bytes lived.
+struct Delivery {
+  int endpoint;
+  const uint8_t* buffer;
+  std::vector<uint8_t> bytes;
+};
+
+class RecordingEndpoint : public NetEndpoint {
+ public:
+  RecordingEndpoint(int id, std::vector<Delivery>* log) : id_(id), log_(log) {}
+  void DeliverFrame(const std::vector<uint8_t>& frame) override {
+    log_->push_back(Delivery{id_, frame.data(), frame});
+  }
+
+ private:
+  int id_;
+  std::vector<Delivery>* log_;
+};
+
+MacAddr MacOf(uint64_t v) {
+  MacAddr mac;
+  for (int i = 5; i >= 0; --i) {
+    mac.bytes[static_cast<size_t>(i)] = static_cast<uint8_t>(v & 0xff);
+    v >>= 8;
+  }
+  return mac;
+}
+
+std::vector<uint8_t> FrameTo(const MacAddr& dst, size_t size, uint8_t fill) {
+  std::vector<uint8_t> frame(size, fill);
+  std::copy_n(dst.bytes.begin(), 6, frame.begin());
+  return frame;
+}
+
+// One broadcast: every port but the sender receives it, in ascending MAC
+// (byte-wise) order, and all of them read the same buffer.
+TEST(SharedLink, BroadcastSharesOneBufferInAscendingMacOrder) {
+  EventQueue eq;
+  SharedLink link(&eq, NetworkModel::Calibrated());
+  std::vector<Delivery> log;
+  // MACs attached out of order, differing in high and low bytes; enough
+  // ports to grow the port table several times.
+  std::vector<uint64_t> macs;
+  for (uint64_t i = 0; i < 300; ++i) {
+    macs.push_back(((i * 7919) % 300) << ((i % 3) * 16) | 1);
+  }
+  std::sort(macs.begin(), macs.end());
+  macs.erase(std::unique(macs.begin(), macs.end()), macs.end());
+  std::vector<uint64_t> attach_order = macs;
+  std::reverse(attach_order.begin(), attach_order.begin() + attach_order.size() / 2);
+  std::vector<std::unique_ptr<RecordingEndpoint>> endpoints;
+  for (uint64_t mac : attach_order) {
+    endpoints.push_back(std::make_unique<RecordingEndpoint>(static_cast<int>(mac), &log));
+    link.Attach(MacOf(mac), endpoints.back().get());
+  }
+  const uint64_t sender = macs[macs.size() / 3];
+  const std::vector<uint8_t> frame = FrameTo(MacAddr::Broadcast(), 60, 0xab);
+  link.Send(MacOf(sender), frame);
+  eq.RunToCompletion();
+
+  ASSERT_EQ(log.size(), macs.size() - 1);
+  size_t next = 0;
+  for (uint64_t mac : macs) {
+    if (mac == sender) {
+      continue;
+    }
+    EXPECT_EQ(log[next].endpoint, static_cast<int>(mac)) << "delivery " << next;
+    EXPECT_EQ(log[next].buffer, log[0].buffer) << "delivery " << next << " got its own copy";
+    EXPECT_EQ(log[next].bytes, frame);
+    ++next;
+  }
+}
+
+// Unicast lookups stay exact through Detach (which moves later entries of
+// a probe run into the hole), re-Attach of a detached MAC, and re-Attach
+// over a live one; broadcasts before and after each change reach exactly
+// the live ports, in MAC order. Pseudo-random MACs make probe runs collide.
+TEST(SharedLink, UnicastAfterDetachAndReattach) {
+  EventQueue eq;
+  SharedLink link(&eq, NetworkModel::Calibrated());
+  std::vector<Delivery> log;
+  constexpr int kPorts = 400;
+  std::vector<uint64_t> macs;
+  uint64_t x = 0x2545f4914f6cdd1dULL;
+  for (int i = 0; i < kPorts; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    macs.push_back(x & 0xffffffffffffULL);
+  }
+  std::vector<uint64_t> distinct = macs;
+  std::sort(distinct.begin(), distinct.end());
+  ASSERT_EQ(std::unique(distinct.begin(), distinct.end()), distinct.end());
+  std::vector<std::unique_ptr<RecordingEndpoint>> endpoints;
+  for (int i = 0; i < kPorts; ++i) {
+    endpoints.push_back(std::make_unique<RecordingEndpoint>(i, &log));
+    link.Attach(MacOf(macs[static_cast<size_t>(i)]), endpoints.back().get());
+  }
+  std::vector<int> owner(kPorts);
+  for (int i = 0; i < kPorts; ++i) {
+    owner[static_cast<size_t>(i)] = i;
+  }
+  const MacAddr sender = MacOf(1);
+  // A broadcast must reach exactly the ports `owner` names, in MAC order.
+  auto expect_broadcast = [&] {
+    std::vector<std::pair<uint64_t, int>> live;
+    for (int i = 0; i < kPorts; ++i) {
+      if (owner[static_cast<size_t>(i)] >= 0) {
+        live.emplace_back(macs[static_cast<size_t>(i)], owner[static_cast<size_t>(i)]);
+      }
+    }
+    std::sort(live.begin(), live.end());
+    link.Send(sender, FrameTo(MacAddr::Broadcast(), 60, 0));
+    eq.RunToCompletion();
+    ASSERT_EQ(log.size(), live.size());
+    for (size_t k = 0; k < live.size(); ++k) {
+      EXPECT_EQ(log[k].endpoint, live[k].second) << "broadcast delivery " << k;
+    }
+    log.clear();
+  };
+  expect_broadcast();
+  for (int i = 0; i < kPorts; i += 3) {
+    owner[static_cast<size_t>(i)] = -1;
+    link.Detach(MacOf(macs[static_cast<size_t>(i)]));
+  }
+  expect_broadcast();
+  link.Detach(MacOf(1));  // never attached: no-op
+  RecordingEndpoint replacement(1000, &log);
+  link.Attach(MacOf(macs[0]), &replacement);  // port 0 was detached
+  owner[0] = 1000;
+  RecordingEndpoint override_ep(2000, &log);
+  link.Attach(MacOf(macs[2]), &override_ep);  // port 2 is live
+  owner[2] = 2000;
+
+  for (int i = 0; i < kPorts; ++i) {
+    link.Send(sender, FrameTo(MacOf(macs[static_cast<size_t>(i)]), 64, static_cast<uint8_t>(i)));
+    eq.RunToCompletion();
+    if (owner[static_cast<size_t>(i)] < 0) {
+      EXPECT_TRUE(log.empty()) << "detached port " << i << " received a frame";
+    } else {
+      ASSERT_EQ(log.size(), 1u) << "port " << i;
+      EXPECT_EQ(log[0].endpoint, owner[static_cast<size_t>(i)]);
+      EXPECT_EQ(log[0].bytes[6], static_cast<uint8_t>(i));
+    }
+    log.clear();
+  }
+  expect_broadcast();
 }
 
 TEST(SharedLink, MediumSerializesTransmissions) {
