@@ -17,7 +17,12 @@
 //  * schedule-and-fire over capture sizes: 16 and 40 bytes fit a
 //    callback's inline storage, 96 bytes falls back to the heap,
 //  * link broadcast: one ARP-sized broadcast on a 2,000-port SharedLink —
-//    the per-receiver delivery cost of a spoofed-source SYN flood.
+//    the per-receiver delivery cost of a spoofed-source SYN flood, whose
+//    deliveries all append to the shard's sorted run,
+//  * interleaved link traffic: unicast frames alternating between a server
+//    port and client ports 120 us further away, each delivery followed by
+//    a plain event — the mix in which about half the deliveries arrive
+//    out of key order and fall back to the heap.
 //
 // Wall-clock events/sec here measure the simulator itself (host-machine
 // dependent); the committed trajectory gate works on ratios instead —
@@ -282,6 +287,63 @@ void BM_LinkBroadcast(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(deliveries));
 }
 BENCHMARK(BM_LinkBroadcast)->Args({2000, 1})->ArgNames({"ports", "shards"});
+
+// Receives a frame and schedules one plain follow-up event (the protocol
+// work a delivery triggers) a pseudo-random 0-63 us later.
+class FollowUpEndpoint : public NetEndpoint {
+ public:
+  explicit FollowUpEndpoint(EventQueue* eq) : eq_(eq) {}
+  void DeliverFrame(const std::vector<uint8_t>& frame) override {
+    (void)frame;
+    rng_ ^= rng_ << 13;
+    rng_ ^= rng_ >> 7;
+    rng_ ^= rng_ << 17;
+    eq_->ScheduleAfter(CyclesFromMicros(static_cast<double>(rng_ % 64)),
+                       [this] { ++follow_ups_; });
+  }
+  uint64_t follow_ups() const { return follow_ups_; }
+
+ private:
+  EventQueue* eq_;
+  uint64_t rng_ = 0x9e3779b97f4a7c15ULL;
+  uint64_t follow_ups_ = 0;
+};
+
+// One iteration = 1,000 unicast frames sent two wire times apart,
+// alternating between the server port and 16 client ports.
+void BM_InterleavedLinkTraffic(benchmark::State& state) {
+  constexpr int kFrames = 1000;
+  constexpr int kClients = 16;
+  const NetworkModel model = NetworkModel::Calibrated();
+  const Cycles gap = 2 * SharedLink::MinDeliveryLatency(model);
+  ShardedEventQueue eq(static_cast<int>(state.range(0)), SharedLink::MinDeliveryLatency(model));
+  SharedLink link(&eq, model);
+  std::vector<std::unique_ptr<FollowUpEndpoint>> ports;
+  std::vector<std::vector<uint8_t>> frames;
+  for (int i = 0; i <= kClients; ++i) {
+    const MacAddr mac = MacAddr::FromIndex(static_cast<uint64_t>(i) + 1);
+    ports.push_back(std::make_unique<FollowUpEndpoint>(&eq));
+    link.Attach(mac, ports.back().get(), i == 0 ? 0 : model.client_link_latency);
+    frames.emplace_back(60, 0);
+    std::copy_n(mac.bytes.begin(), 6, frames.back().begin());
+  }
+  const MacAddr sender = MacAddr::FromIndex(1000);
+  uint64_t events = 0;
+  for (auto _ : state) {
+    const uint64_t before = eq.fired_count();
+    const Cycles base = eq.now();
+    for (int i = 0; i < kFrames; ++i) {
+      const size_t port = i % 2 == 0 ? 0 : 1 + static_cast<size_t>(i / 2) % kClients;
+      eq.ScheduleAt(base + 1 + static_cast<Cycles>(i) * gap,
+                    [&link, &frames, sender, port] { link.Send(sender, frames[port]); });
+    }
+    eq.RunUntil(base + kFrames * gap + CyclesFromMillis(1));
+    events += eq.fired_count() - before;
+  }
+  benchmark::DoNotOptimize(ports.back()->follow_ups());
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+}
+BENCHMARK(BM_InterleavedLinkTraffic)->Arg(1)->ArgNames({"shards"});
 
 }  // namespace
 }  // namespace escort

@@ -258,7 +258,7 @@ void ShardedEventQueue::NoteInsert(size_t shard, Cycles when) {
 }
 
 EventQueue::EventId ShardedEventQueue::Insert(size_t shard, Key key, StreamId exec,
-                                              Callback fn) {
+                                              Callback fn, bool child) {
   NoteInsert(shard, key.when);
   Shard& sh = shards_[shard];
   // Tripwire for the window-cap proofs: an insert below the target
@@ -279,7 +279,18 @@ EventQueue::EventId ShardedEventQueue::Insert(size_t shard, Key key, StreamId ex
   Slot& entry = sh.slots[slot];
   entry.fn = std::move(fn);
   entry.exec = exec;
-  sh.heap.push(Entry{key, slot, entry.gen});
+  const Entry e{key, slot, entry.gen};
+  // A transaction's children come in ascending key order (one `when` per
+  // broadcast, rising minors), and consecutive transactions on a link
+  // deliver at rising times: they append to the sorted run. A child that
+  // would break the run's order, and every other insert, takes the heap.
+  // Only children are admitted: one far-future event (a timer, the
+  // sampler) at the tail would push every later child into the heap.
+  if (child && (sh.run.empty() || sh.run.back().key < key)) {
+    sh.run.push(e);
+  } else {
+    sh.heap.push(e);
+  }
   return (static_cast<EventId>(shard) << kShardShift) |
          (static_cast<EventId>(entry.gen & kGenMask) << kSlotBits) | slot;
 }
@@ -295,11 +306,12 @@ EventQueue::EventId ShardedEventQueue::ScheduleAt(Cycles when, Callback fn) {
     // ordered by minor index — byte-identical keys at any shard count.
     Key key{when, ctx->stream, ctx->seq, ++ctx->next_minor};
     return Insert(static_cast<size_t>(streams_[ctx->stream].shard), key, ctx->stream,
-                  std::move(fn));
+                  std::move(fn), /*child=*/true);
   }
   StreamId s = ctx != nullptr ? ctx->stream : main_stream_;
   Key key{when, s, streams_[s].next_seq++, 0};
-  return Insert(static_cast<size_t>(streams_[s].shard), key, s, std::move(fn));
+  return Insert(static_cast<size_t>(streams_[s].shard), key, s, std::move(fn),
+                /*child=*/false);
 }
 
 EventQueue::EventId ShardedEventQueue::ScheduleAtFrom(StreamId exec_stream, Cycles when,
@@ -309,8 +321,9 @@ EventQueue::EventId ShardedEventQueue::ScheduleAtFrom(StreamId exec_stream, Cycl
   if (when < base) {
     when = base;
   }
+  const bool child = ctx != nullptr && ctx->sequenced;
   Key key;
-  if (ctx != nullptr && ctx->sequenced) {
+  if (child) {
     key = Key{when, ctx->stream, ctx->seq, ++ctx->next_minor};
   } else {
     StreamId ks = ctx != nullptr ? ctx->stream : main_stream_;
@@ -320,7 +333,7 @@ EventQueue::EventId ShardedEventQueue::ScheduleAtFrom(StreamId exec_stream, Cycl
   // runs as that stream's action. Cross-shard inserts happen only at
   // serial points (transaction drains, single-shard windows).
   return Insert(static_cast<size_t>(streams_[exec_stream].shard), key, exec_stream,
-                std::move(fn));
+                std::move(fn), child);
 }
 
 bool ShardedEventQueue::Cancel(EventId id) {
@@ -343,22 +356,32 @@ bool ShardedEventQueue::Cancel(EventId id) {
 
 ShardedEventQueue::Head ShardedEventQueue::PeekShard(size_t s, Key* key) const {
   const Shard& sh = shards_[s];
-  while (!sh.heap.empty() && sh.slots[sh.heap.top().slot].gen != sh.heap.top().gen) {
-    sh.heap.pop();  // cancelled: its slot has moved on to a later generation
+  while (!sh.heap.empty() && sh.Stale(sh.heap.top())) {
+    sh.heap.pop();
+  }
+  while (!sh.run.empty() && sh.Stale(sh.run.front())) {
+    sh.run.pop();
+  }
+  // Keys are unique, so the minimum of the three heads is strict and the
+  // fire order is the heap-only order.
+  Head head = Head::kNone;
+  if (!sh.heap.empty()) {
+    *key = sh.heap.top().key;
+    head = Head::kHeap;
+  }
+  if (!sh.run.empty() && (head == Head::kNone || sh.run.front().key < *key)) {
+    *key = sh.run.front().key;
+    head = Head::kRun;
   }
   TimerKey tk;
   if (sh.wheel != nullptr && sh.wheel->PeekDue(&tk)) {
     Key wk(tk.when, tk.stream, tk.seq, tk.minor);
-    if (sh.heap.empty() || wk < sh.heap.top().key) {
+    if (head == Head::kNone || wk < *key) {
       *key = wk;
       return Head::kTimer;
     }
   }
-  if (sh.heap.empty()) {
-    return Head::kNone;
-  }
-  *key = sh.heap.top().key;
-  return Head::kHeap;
+  return head;
 }
 
 ShardedEventQueue::Head ShardedEventQueue::GlobalPeek(size_t* shard, Key* key) const {
@@ -393,7 +416,7 @@ void ShardedEventQueue::ExecuteTop(size_t s, Head head) {
     tls_exec = saved;
     return;
   }
-  const Entry top = sh.heap.pop();
+  const Entry top = head == Head::kRun ? sh.run.pop() : sh.heap.pop();
   // Move the callback out and free the slot before running it: the
   // callback may schedule (growing the slot table) or cancel its own id,
   // which must already fail.
@@ -613,21 +636,25 @@ void ShardedEventQueue::RunUntil(Cycles deadline) {
 
 void ShardedEventQueue::RunSerialWindows(Cycles deadline) {
   // One shard, conservative horizon: RunWindows would find T = the shard's
-  // earliest event, give it H = min(T + L, deadline + 1) (lowered to the
-  // oldest held transaction's time + L), run it alone and inline, and
-  // drain. This loop does exactly that, so the events, the drains and
-  // every ShardProfile counter come out the same; it only skips the
-  // per-window vectors and peeks once per event. The window cap needs no
-  // check: a deposit caps the shard at its post time + L >= T + L >= H,
-  // and no other shard can insert.
+  // earliest event, give it H = min(T + L, deadline + 1), run it alone and
+  // inline, and drain. This loop does exactly that, so the events, the
+  // drains and every ShardProfile counter come out the same; it only
+  // skips the per-window vectors and peeks once per event. The window cap
+  // needs no check: a deposit caps the shard at its post time + L >=
+  // T + L >= H, and no other shard can insert. No transaction is ever
+  // held: every deposit was posted below H, the window ran every event
+  // below H, and bodies schedule at >= post time + L >= H, so the release
+  // floor is above them all. And H = min(T + L, deadline + 1) > T, so
+  // every window fires.
   Shard& sh = shards_[0];
   const Cycles step = lookahead_ > 0 ? lookahead_ : 1;
   const Cycles cap = deadline >= kNoEvent - 1 ? kNoEvent : deadline + 1;
   Key k;
   Head head = PeekShard(0, &k);
   for (;;) {
-    if (!txns_.empty() || !held_txns_.empty()) {
+    if (!txns_.empty()) {
       DrainTransactions();
+      assert(held_txns_.empty() && "a transaction body scheduled below post time + lookahead");
       head = PeekShard(0, &k);
     }
     if (head == Head::kNone || k.when > deadline) {
@@ -638,22 +665,9 @@ void ShardedEventQueue::RunSerialWindows(Cycles deadline) {
     if (h > cap) {
       h = cap;
     }
-    if (!held_txns_.empty()) {
-      const Cycles w = held_txns_.front().when;
-      const Cycles held_cap = w > kNoEvent - step ? kNoEvent : w + step;
-      if (h > held_cap) {
-        h = held_cap;
-      }
-    }
     ++windows_run_;
-    if (t >= h) {
-      // A held transaction older than t - L (a body cancelled the event
-      // that held it back) closes the window before it opens, as in
-      // RunWindows; the next drain releases it.
-      continue;
-    }
     ++sh.windows_woken;
-    ++sh.windows_active;  // t < h, so the window fires at least one event
+    ++sh.windows_active;
     window_cycles_ += h - t;
     inline_window_shard_ = 0;
     do {
@@ -881,6 +895,16 @@ uint64_t ShardedEventQueue::fired_count() const {
     n += sh.fired;
   }
   return n;
+}
+
+ShardedEventQueue::RunStats ShardedEventQueue::run_stats() const {
+  RunStats st;
+  for (const Shard& sh : shards_) {
+    st.size += sh.run.size();
+    st.high_water += sh.run.high_water();
+    st.capacity += sh.run.capacity();
+  }
+  return st;
 }
 
 size_t ShardedEventQueue::consumed_slot_count() const {

@@ -421,9 +421,18 @@ class ShardedEventQueue : public EventQueue {
   size_t pending() const override;
   uint64_t fired_count() const override;
   // Total slot-table size over all shards: each table grows only to its
-  // shard's peak number of outstanding heap events, since fired and
+  // shard's peak number of outstanding events, since fired and
   // cancelled slots are reused.
   size_t consumed_slot_count() const override;
+
+  // Sorted-run occupancy summed over shards (tests): entries held now,
+  // stale ones included; the most each run ever held; ring capacity.
+  struct RunStats {
+    size_t size = 0;
+    size_t high_water = 0;
+    size_t capacity = 0;
+  };
+  RunStats run_stats() const;
 
   StreamId NewStream(int shard) override;
   StreamId current_stream() const override;
@@ -467,8 +476,8 @@ class ShardedEventQueue : public EventQueue {
     }
   };
 
-  // A heap entry: the event's key plus the slot-table handle that holds
-  // its callback. Trivially copyable, so heap sifts never move a
+  // A heap or run entry: the event's key plus the slot-table handle that
+  // holds its callback. Trivially copyable, so heap sifts never move a
   // callback. The entry is stale (a cancelled event) when `gen` no
   // longer matches its slot's generation.
   struct Entry {
@@ -476,12 +485,12 @@ class ShardedEventQueue : public EventQueue {
     uint32_t slot;
     uint32_t gen;
   };
-  static_assert(sizeof(Entry) == 32, "heap entries stay 32 bytes");
+  static_assert(sizeof(Entry) == 32, "heap and run entries stay 32 bytes");
 
   // One slot-table entry: the callback and the stream whose context runs
   // it (child-event identity). `gen` is bumped every time the slot is
   // freed (fired or cancelled), which invalidates both the ids handed out
-  // for it and any heap entry still referring to it.
+  // for it and any heap or run entry still referring to it.
   struct Slot {
     Callback fn;
     uint32_t gen = 0;
@@ -517,11 +526,62 @@ class ShardedEventQueue : public EventQueue {
     std::vector<Entry> entries_;
   };
 
+  // FIFO of entries that arrive already in key order: the children of
+  // sequenced transactions (link deliveries), admitted by Insert only
+  // while each new key exceeds the tail's. A power-of-two ring that
+  // doubles only when full, so its capacity stays within twice its peak
+  // occupancy however long steady traffic keeps it from draining.
+  class RunLane {
+   public:
+    bool empty() const { return size_ == 0; }
+    const Entry& front() const { return ring_[head_]; }
+    const Entry& back() const { return ring_[(head_ + size_ - 1) & mask_]; }
+    void push(const Entry& e) {
+      if (size_ == ring_.size()) {
+        Grow();
+      }
+      ring_[(head_ + size_) & mask_] = e;
+      if (++size_ > high_water_) {
+        high_water_ = size_;
+      }
+    }
+    Entry pop() {
+      const Entry e = ring_[head_];
+      head_ = (head_ + 1) & mask_;
+      --size_;
+      return e;
+    }
+    size_t size() const { return size_; }
+    size_t high_water() const { return high_water_; }
+    size_t capacity() const { return ring_.size(); }
+
+   private:
+    void Grow() {
+      std::vector<Entry> next(ring_.empty() ? kInitial : ring_.size() * 2);
+      for (size_t i = 0; i < size_; ++i) {
+        next[i] = ring_[(head_ + i) & mask_];
+      }
+      ring_.swap(next);
+      head_ = 0;
+      mask_ = ring_.size() - 1;
+    }
+    static constexpr size_t kInitial = 64;
+    std::vector<Entry> ring_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+    size_t mask_ = 0;
+    size_t high_water_ = 0;
+  };
+
   struct Shard {
+    // Pending entries live in one of two lanes, both keyed by the total
+    // order and both lazily purged of stale (cancelled) entries at their
+    // heads: the sorted run, popped in O(1), and the heap for the rest.
     mutable EventHeap heap;
+    mutable RunLane run;
     // Slot table: callbacks of pending events, indexed by Entry::slot, and
     // a LIFO freelist of released slots. The table never shrinks, so its
-    // size is the shard's peak number of outstanding heap events.
+    // size is the shard's peak number of outstanding events.
     std::vector<Slot> slots;
     std::vector<uint32_t> free_slots;
     // Per-shard timer wheel, lazily created on the first timer arm.
@@ -542,8 +602,11 @@ class ShardedEventQueue : public EventQueue {
     Cycles window_cap = 0;
 
     size_t live() const { return slots.size() - free_slots.size(); }
+    // A cancelled event's entry: its slot has moved on to a later
+    // generation.
+    bool Stale(const Entry& e) const { return slots[e.slot].gen != e.gen; }
     // Frees `slot` (its callback already moved out): bumps the generation
-    // so outstanding ids and heap entries for it go stale.
+    // so outstanding ids and heap or run entries for it go stale.
     void Release(uint32_t slot) {
       ++slots[slot].gen;
       free_slots.push_back(slot);
@@ -564,7 +627,7 @@ class ShardedEventQueue : public EventQueue {
   };
 
   // Where a shard's earliest pending event lives (PeekShard's answer).
-  enum class Head { kNone, kHeap, kTimer };
+  enum class Head { kNone, kHeap, kRun, kTimer };
 
   // EventId = shard << 56 | gen << 26 | slot. The slot field holds 2^26
   // pending events per shard (a 16M-client cell holds one start event per
@@ -575,11 +638,14 @@ class ShardedEventQueue : public EventQueue {
   static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
   static constexpr uint64_t kGenMask = (uint64_t{1} << (kShardShift - kSlotBits)) - 1;
 
-  // Drops stale entries from the top of shard s's heap and reports where
-  // its earliest pending event lives (heap or wheel), with its key.
+  // Drops stale entries from the heads of shard s's heap and run and
+  // reports where its earliest pending event lives (heap, run or wheel),
+  // with its key.
   Head PeekShard(size_t s, Key* key) const;
   Head GlobalPeek(size_t* shard, Key* key) const;
-  EventId Insert(size_t shard, Key key, StreamId exec, Callback fn);
+  // `child`: scheduled by a sequenced transaction body, so a candidate for
+  // the shard's sorted run.
+  EventId Insert(size_t shard, Key key, StreamId exec, Callback fn, bool child);
   // Window-cap / drain-floor bookkeeping shared by heap inserts and wheel
   // arms (both make a pending deadline visible to the scheduler).
   void NoteInsert(size_t shard, Cycles when);

@@ -282,15 +282,29 @@ void SampleMetrics(MetricsRegistry* registry, HealthMonitor* health, Kernel* ker
   }
 }
 
-void ScheduleMetricsSampler(EventQueue* eq, MetricsRegistry* registry, HealthMonitor* health,
-                            Kernel* kernel, Cycles at, Cycles interval, Cycles end) {
-  if (at > end) {
+// The metrics sampler's fixed inputs, owned by RunExperiment for the whole
+// run, so that each tick's self-rescheduling closure carries only
+// {sampler, at} and lives in its event slot rather than on the heap.
+struct MetricsSampler {
+  EventQueue* eq;
+  MetricsRegistry* registry;
+  HealthMonitor* health;
+  Kernel* kernel;
+  Cycles interval;
+  Cycles end;
+};
+
+void ScheduleMetricsSampler(const MetricsSampler* sampler, Cycles at) {
+  if (at > sampler->end) {
     return;
   }
-  eq->ScheduleAt(at, [eq, registry, health, kernel, at, interval, end] {
-    SampleMetrics(registry, health, kernel, eq->now());
-    ScheduleMetricsSampler(eq, registry, health, kernel, at + interval, interval, end);
-  });
+  auto tick = [sampler, at] {
+    SampleMetrics(sampler->registry, sampler->health, sampler->kernel, sampler->eq->now());
+    ScheduleMetricsSampler(sampler, at + sampler->interval);
+  };
+  static_assert(sizeof(tick) <= InlineFn<void()>::kCapacity,
+                "the sampler tick fits the event slot's inline storage");
+  sampler->eq->ScheduleAt(at, std::move(tick));
 }
 
 }  // namespace
@@ -337,11 +351,13 @@ ExperimentResult RunExperiment(const ExperimentSpec& spec) {
                           : CyclesFromMillis(5.0);
     ScheduleLedgerSampler(&eq, &tb->server->kernel(), tracer, 0, interval, run_end);
   }
+  MetricsSampler sampler{&eq, metrics, health.get(), nullptr, 0, run_end};
   if (metrics != nullptr && tb->server != nullptr) {
-    Cycles interval = metrics->config().sample_interval > 0 ? metrics->config().sample_interval
-                                                            : CyclesFromMillis(5.0);
-    ScheduleMetricsSampler(&eq, metrics, health.get(), &tb->server->kernel(), 0, interval,
-                           run_end);
+    sampler.kernel = &tb->server->kernel();
+    sampler.interval = metrics->config().sample_interval > 0
+                           ? metrics->config().sample_interval
+                           : CyclesFromMillis(5.0);
+    ScheduleMetricsSampler(&sampler, 0);
   }
 
   double sim_start_ms = MonotonicMillis();

@@ -9,10 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <random>
 #include <string>
+#include <tuple>
 #include <vector>
+
+#include "src/workload/network.h"
 
 namespace escort {
 namespace {
@@ -539,6 +547,302 @@ TEST(ShardedQueue, ComputeHorizonsAdaptiveBoundsEachShardByTheOthers) {
   ShardedEventQueue::ComputeHorizons({kNone, kNone}, 50, 1000, true, &horizons);
   EXPECT_EQ(horizons, (std::vector<Cycles>{0, 0}));
 }
+
+// ---- The sorted run lane ----------------------------------------------------
+//
+// Children of a sequenced transaction that arrive in key order append to
+// their shard's sorted run instead of its heap. The run must leave the fire
+// order alone. The harness drives plain events, wheel timers and sequenced
+// fan-outs (in key order, in two latency classes that interleave out of
+// order, and in random order), cancels children at the front and in the
+// middle of a fan-out, computes every event's key the way the queue assigns
+// it, and checks the fire order against those keys sorted.
+
+using RunKey = std::tuple<Cycles, uint32_t, uint64_t, uint32_t>;  // (when, stream, seq, minor)
+
+class FanOutHarness {
+ public:
+  static constexpr Cycles kLookahead = 50;
+  static constexpr int kStreams = 6;
+  static constexpr Cycles kStop = 20000;  // no new work is started after this
+
+  FanOutHarness(int shards, bool step_driven)
+      : eq_(shards, kLookahead), single_threaded_(shards == 1 || step_driven) {
+    state_.resize(kStreams + 1);  // indexed by StreamId; stream 0 stays idle
+    for (int i = 1; i <= kStreams; ++i) {
+      EventQueue::StreamId id = eq_.NewStream(i);
+      state_[id].rng.seed(static_cast<uint64_t>(977 * i));
+      EventQueue::StreamScope scope(&eq_, id);
+      Tick(id, static_cast<Cycles>(i));
+    }
+    if (step_driven) {
+      eq_.RunToCompletion();
+    } else {
+      eq_.RunUntil(2 * kStop);
+    }
+  }
+
+  // Fired keys of events that executed in `stream`'s context, in order.
+  const std::vector<RunKey>& fired(EventQueue::StreamId stream) const {
+    return state_[stream].fired;
+  }
+  // Every key scheduled to execute in `stream`'s context and not cancelled,
+  // sorted: the reference fire order.
+  std::vector<RunKey> expected(EventQueue::StreamId stream) const {
+    const StreamState& st = state_[stream];
+    std::vector<RunKey> keys;
+    for (const RunKey& k : st.scheduled) {
+      if (std::find(st.cancelled.begin(), st.cancelled.end(), k) == st.cancelled.end()) {
+        keys.push_back(k);
+      }
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+  // Global fire order (single-threaded runs only).
+  const std::vector<RunKey>& global() const { return global_; }
+  std::vector<RunKey> expected_global() const {
+    std::vector<RunKey> keys;
+    for (size_t s = 1; s < state_.size(); ++s) {
+      std::vector<RunKey> e = expected(static_cast<EventQueue::StreamId>(s));
+      keys.insert(keys.end(), e.begin(), e.end());
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+  bool single_threaded() const { return single_threaded_; }
+  uint64_t fanouts() const { return fanouts_; }
+  uint64_t run_cancels() const { return run_cancels_; }
+  ShardedEventQueue& eq() { return eq_; }
+
+ private:
+  // Per-stream state. Touched only by events running in the stream's
+  // context, or at serial points (transaction bodies).
+  struct StreamState {
+    std::mt19937_64 rng;
+    uint64_t next_seq = 0;  // mirror of the queue's per-stream counter
+    std::vector<RunKey> scheduled;
+    std::vector<RunKey> cancelled;
+    std::vector<RunKey> fired;
+    std::deque<std::pair<EventQueue::TimerId, RunKey>> timers;
+  };
+
+  // A fan-out's shape, drawn by the posting stream at post time so the
+  // body itself draws nothing.
+  enum class Shape { kInOrder, kTwoClasses, kRandom };
+  struct FanOut {
+    Shape shape;
+    std::array<Cycles, kStreams> offset;  // random-shape delays past the lookahead
+    uint32_t cancel_middle;              // minor of a middle child to cancel (0: none)
+    bool cancel_front;
+  };
+
+  EventQueue::Callback Recorder(EventQueue::StreamId exec, RunKey key) {
+    return [this, exec, key] {
+      state_[exec].fired.push_back(key);
+      if (single_threaded_) {
+        global_.push_back(key);
+      }
+    };
+  }
+
+  // Schedules a plain event on `stream` that records its key and, before
+  // kStop, draws the stream's next actions.
+  void Tick(EventQueue::StreamId stream, Cycles when) {
+    StreamState& st = state_[stream];
+    RunKey key{when, stream, st.next_seq++, 0};
+    st.scheduled.push_back(key);
+    eq_.ScheduleAt(when, [this, stream, key] {
+      StreamState& me = state_[stream];
+      me.fired.push_back(key);
+      if (single_threaded_) {
+        global_.push_back(key);
+      }
+      const Cycles now = eq_.now();
+      if (now >= kStop) {
+        return;
+      }
+      Tick(stream, now + 1 + me.rng() % 40);
+      const uint64_t roll = me.rng() % 10;
+      if (roll < 3) {
+        PostFanOut(stream);
+      } else if (roll < 6) {
+        ArmTimer(stream, now + me.rng() % 200);
+      } else if (roll < 8 && !me.timers.empty()) {
+        auto [id, timer_key] = me.timers.front();
+        me.timers.pop_front();
+        if (eq_.CancelTimer(id)) {
+          me.cancelled.push_back(timer_key);
+        }
+      } else {
+        RunKey extra{now + me.rng() % 300, stream, me.next_seq++, 0};
+        me.scheduled.push_back(extra);
+        eq_.ScheduleAt(std::get<0>(extra), Recorder(stream, extra));
+      }
+    });
+  }
+
+  void ArmTimer(EventQueue::StreamId stream, Cycles when) {
+    StreamState& st = state_[stream];
+    RunKey key{when, stream, st.next_seq++, 0};
+    st.scheduled.push_back(key);
+    st.timers.emplace_back(eq_.ScheduleTimerAt(when, Recorder(stream, key)), key);
+  }
+
+  void PostFanOut(EventQueue::StreamId poster) {
+    StreamState& st = state_[poster];
+    FanOut f;
+    f.shape = static_cast<Shape>(st.rng() % 3);
+    for (Cycles& o : f.offset) {
+      o = st.rng() % (4 * kLookahead);
+    }
+    f.cancel_front = st.rng() % 3 == 0;
+    f.cancel_middle = st.rng() % 3 == 0 ? 1 + static_cast<uint32_t>(st.rng() % kStreams) : 0;
+    const uint64_t seq = st.next_seq++;
+    eq_.PostSequenced([this, poster, seq, f](Cycles send_time) {
+      ++fanouts_;
+      std::vector<std::pair<EventQueue::EventId, RunKey>> children;
+      uint32_t minor = 0;
+      for (EventQueue::StreamId d = 1; d <= kStreams; ++d) {
+        // Every child lands at least one lookahead after the post.
+        Cycles when = send_time + kLookahead;
+        switch (f.shape) {
+          case Shape::kInOrder:
+            break;
+          case Shape::kTwoClasses:
+            // Stream 1 is the "server" port (no extra latency), the
+            // rest are "clients" four lookaheads away: a later fan-out's
+            // server child lands before an earlier one's client children.
+            when += d == 1 ? 0 : 4 * kLookahead;
+            break;
+          case Shape::kRandom:
+            when += f.offset[d - 1];
+            break;
+        }
+        RunKey key{when, poster, seq, ++minor};
+        state_[d].scheduled.push_back(key);
+        // The poster's own child goes through ScheduleAt, the others
+        // through ScheduleAtFrom: both are sequenced children.
+        EventQueue::EventId id = d == poster
+                                     ? eq_.ScheduleAt(when, Recorder(d, key))
+                                     : eq_.ScheduleAtFrom(d, when, Recorder(d, key));
+        children.emplace_back(id, key);
+      }
+      auto cancel = [&](size_t i) {
+        EventQueue::StreamId d = static_cast<EventQueue::StreamId>(i + 1);
+        if (eq_.Cancel(children[i].first)) {
+          state_[d].cancelled.push_back(children[i].second);
+          ++run_cancels_;
+        }
+      };
+      if (f.cancel_front) {
+        cancel(0);
+      }
+      if (f.cancel_middle > 1) {
+        cancel(f.cancel_middle - 1);
+      }
+    });
+  }
+
+  ShardedEventQueue eq_;
+  const bool single_threaded_;
+  std::vector<StreamState> state_;
+  std::vector<RunKey> global_;
+  uint64_t fanouts_ = 0;
+  uint64_t run_cancels_ = 0;
+};
+
+class ShardedQueueRunLane : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(ShardedQueueRunLane, FireOrderIsTheSortedKeyOrder) {
+  const auto [shards, step_driven] = GetParam();
+  FanOutHarness h(shards, step_driven);
+  EXPECT_TRUE(h.eq().empty());
+  EXPECT_GT(h.fanouts(), 500u);
+  EXPECT_GT(h.run_cancels(), 100u);
+  // The run carried whole fan-outs, not just the odd child.
+  EXPECT_GE(h.eq().run_stats().high_water, static_cast<size_t>(FanOutHarness::kStreams));
+  EXPECT_EQ(h.eq().run_stats().size, 0u);
+  for (EventQueue::StreamId s = 1; s <= FanOutHarness::kStreams; ++s) {
+    EXPECT_EQ(h.fired(s), h.expected(s)) << "stream " << s;
+  }
+  if (h.single_threaded()) {
+    EXPECT_EQ(h.global(), h.expected_global());
+  }
+}
+
+std::string RunLaneCaseName(const ::testing::TestParamInfo<std::tuple<int, bool>>& param) {
+  return std::to_string(std::get<0>(param.param)) +
+         (std::get<1>(param.param) ? "_step" : "_windows");
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ShardedQueueRunLane,
+                         ::testing::Combine(::testing::Values(1, 4), ::testing::Bool()),
+                         RunLaneCaseName);
+
+class DeliveryCounter : public NetEndpoint {
+ public:
+  explicit DeliveryCounter(const ShardedEventQueue* eq) : eq_(eq) {}
+  void DeliverFrame(const std::vector<uint8_t>& frame) override {
+    (void)frame;
+    ++delivered;
+    // Only this receiver's shard touches a run here, so the read is
+    // race-free even inside a parallel window.
+    if (eq_->run_stats().size == 0) {
+      ++drained_seen;
+    }
+  }
+  const ShardedEventQueue* eq_;
+  uint64_t delivered = 0;
+  uint64_t drained_seen = 0;
+};
+
+// Steady link traffic keeps the run from ever draining: a frame is sent
+// every two wire times and delivered 40 send intervals later, so about 40
+// deliveries are always pending. The ring must reuse its consumed prefix
+// rather than grow with the 10^5 deliveries.
+class ShardedQueueRunMemory : public ::testing::TestWithParam<int> {};
+
+TEST_P(ShardedQueueRunMemory, CapacityStaysWithinTwicePeakPending) {
+  constexpr uint64_t kFrames = 100000;
+  const NetworkModel model = NetworkModel::Calibrated();
+  const Cycles wire = SharedLink::MinDeliveryLatency(model);
+  const Cycles interval = 2 * wire;
+  ShardedEventQueue eq(GetParam(), wire);
+  SharedLink link(&eq, model);
+  DeliveryCounter receiver(&eq);
+  const MacAddr rx_mac = MacAddr::FromIndex(1);
+  const MacAddr tx_mac = MacAddr::FromIndex(2);
+  EventQueue::StreamId rx = eq.NewStream(1);
+  EventQueue::StreamId tx = eq.NewStream(2);
+  {
+    EventQueue::StreamScope scope(&eq, rx);
+    link.Attach(rx_mac, &receiver, 40 * interval);
+  }
+  std::vector<uint8_t> frame(60, 0);
+  std::copy_n(rx_mac.bytes.begin(), 6, frame.begin());
+  uint64_t sent = 0;
+  std::function<void()> send = [&] {
+    link.Send(tx_mac, frame);
+    if (++sent < kFrames) {
+      eq.ScheduleAfter(interval, [&send] { send(); });
+    }
+  };
+  {
+    EventQueue::StreamScope scope(&eq, tx);
+    eq.ScheduleAt(1, [&send] { send(); });
+  }
+  eq.RunUntil((kFrames + 100) * interval);
+  ASSERT_EQ(receiver.delivered, kFrames);
+  EXPECT_EQ(receiver.drained_seen, 1u);  // only the very last delivery
+  const ShardedEventQueue::RunStats st = eq.run_stats();
+  // At most 41 frames are in flight: the one just sent and the 40 before.
+  EXPECT_GE(st.high_water, 38u);
+  EXPECT_LE(st.high_water, 41u);
+  EXPECT_LE(st.capacity, 2 * st.high_water);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ShardedQueueRunMemory, ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace escort
