@@ -19,6 +19,10 @@
 //  * link broadcast: one ARP-sized broadcast on a 2,000-port SharedLink —
 //    the per-receiver delivery cost of a spoofed-source SYN flood, whose
 //    deliveries all append to the shard's sorted run,
+//  * ARP broadcast to clients: the same broadcast, an ARP request for an
+//    address no one holds, delivered to 2,000 real ClientMachines — each
+//    parses it, learns the sender and drops it, as every client does for
+//    each spoofed source the server resolves,
 //  * interleaved link traffic: unicast frames alternating between a server
 //    port and client ports 120 us further away, each delivery followed by
 //    a plain event — the mix in which about half the deliveries arrive
@@ -37,7 +41,9 @@
 #include <vector>
 
 #include "src/sim/event_queue.h"
+#include "src/workload/client_machine.h"
 #include "src/workload/network.h"
+#include "src/workload/wire.h"
 
 namespace escort {
 namespace {
@@ -287,6 +293,39 @@ void BM_LinkBroadcast(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(deliveries));
 }
 BENCHMARK(BM_LinkBroadcast)->Args({2000, 1})->ArgNames({"ports", "shards"});
+
+// One iteration = one ARP request broadcast to every client machine.
+void BM_ArpBroadcastToClients(benchmark::State& state) {
+  const int ports = static_cast<int>(state.range(0));
+  const NetworkModel model = NetworkModel::Calibrated();
+  ShardedEventQueue eq(static_cast<int>(state.range(1)), SharedLink::MinDeliveryLatency(model));
+  SharedLink link(&eq, model);
+  std::vector<std::unique_ptr<ClientMachine>> clients;
+  for (int i = 0; i < ports; ++i) {
+    const uint32_t n = static_cast<uint32_t>(i) + 1;
+    clients.push_back(std::make_unique<ClientMachine>(
+        &eq, &link, MacAddr::FromIndex(n),
+        Ip4Addr::FromOctets(10, 1, static_cast<uint8_t>(n >> 8), static_cast<uint8_t>(n)), model,
+        n));
+  }
+  const MacAddr server_mac = MacAddr::FromIndex(100000);
+  ArpPacket request;
+  request.opcode = 1;
+  request.sender_mac = server_mac;
+  request.sender_ip = Ip4Addr::FromOctets(10, 0, 0, 1);
+  request.target_ip = Ip4Addr::FromOctets(192, 168, 7, 7);  // a spoofed source
+  const std::vector<uint8_t> frame = BuildArpFrame(server_mac, MacAddr::Broadcast(), request);
+  uint64_t deliveries = 0;
+  for (auto _ : state) {
+    const uint64_t before = eq.fired_count();
+    link.Send(server_mac, frame);
+    eq.RunUntil(eq.now() + CyclesFromMillis(1));
+    deliveries += eq.fired_count() - before;
+  }
+  benchmark::DoNotOptimize(clients.back()->frames_received());
+  state.SetItemsProcessed(static_cast<int64_t>(deliveries));
+}
+BENCHMARK(BM_ArpBroadcastToClients)->Args({2000, 1})->ArgNames({"ports", "shards"});
 
 // Receives a frame and schedules one plain follow-up event (the protocol
 // work a delivery triggers) a pseudo-random 0-63 us later.

@@ -87,26 +87,26 @@ void ScsiDiskModule::Process(Stage& stage, Message msg, Direction dir) {
   size_t stage_index = static_cast<size_t>(stage.index);
   k->event_queue()->ScheduleAt(done, [this, k, my_pd, pm, path_id, stage_index, note,
                                       bytes = std::move(bytes)] {
-    Path* path = pm->FindLive(path_id);
-    if (path == nullptr) {
+    Path* live = pm->FindLive(path_id);
+    if (live == nullptr) {
       return;  // killed while the disk was seeking
     }
     // Completion interrupt: build the reply and send it down the path,
     // charged to the path.
-    Thread* t = path->GrabThread();
+    Thread* t = live->GrabThread();
     t->Push(k->costs().fs_read_block_hit, my_pd,
             [this, k, my_pd, pm, path_id, stage_index, note, bytes] {
       // Revalidate again: the kill can land between the completion
       // interrupt and this work item's dispatch.
-      Path* path = pm->FindLive(path_id);
-      if (path == nullptr) {
+      Path* p = pm->FindLive(path_id);
+      if (p == nullptr) {
         return;
       }
-      Stage* stage = path->stage(stage_index);
-      if (stage == nullptr) {
+      Stage* s = p->stage(stage_index);
+      if (s == nullptr) {
         return;
       }
-      Message reply = Message::Alloc(k, path, my_pd, path->StageDomains(), bytes.size(), 0);
+      Message reply = Message::Alloc(k, p, my_pd, p->StageDomains(), bytes.size(), 0);
       if (!reply.valid()) {
         return;
       }
@@ -114,7 +114,7 @@ void ScsiDiskModule::Process(Stage& stage, Message msg, Direction dir) {
       k->Consume(bytes.size() * k->costs().per_byte_touch);
       reply.kind = MsgKind::kFileData;
       reply.note = note;
-      path->ForwardDown(*stage, std::move(reply));
+      p->ForwardDown(*s, std::move(reply));
     }, /*yields=*/true);
   });
 }

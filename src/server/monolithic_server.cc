@@ -20,7 +20,7 @@ void MonolithicServer::AddDocument(const std::string& name, uint64_t size) {
   docs_[name] = std::move(bytes);
 }
 
-void MonolithicServer::CpuRun(Cycles cost, std::function<void()> fn) {
+void MonolithicServer::CpuRun(Cycles cost, EventQueue::Callback fn) {
   Cycles start = std::max(eq_->now(), cpu_free_);
   cpu_free_ = start + cost;
   cpu_busy_total_ += cost;
@@ -48,38 +48,41 @@ void MonolithicServer::SendSegment(const ConnKey& key, uint8_t flags, uint32_t s
 }
 
 void MonolithicServer::DeliverFrame(const std::vector<uint8_t>& frame) {
-  auto parsed = ParseFrame(frame);
-  if (!parsed.has_value()) {
+  FrameView f;
+  if (!ParseFrame(frame, &f)) {
     return;
   }
-  if (parsed->is_arp) {
-    arp_[parsed->arp.sender_ip] = parsed->arp.sender_mac;
-    if (parsed->arp.opcode == 1 && parsed->arp.target_ip == ip_) {
+  if (f.is_arp()) {
+    arp_[f.arp.sender_ip] = f.arp.sender_mac;
+    if (f.arp.opcode == 1 && f.arp.target_ip == ip_) {
       ArpPacket reply;
       reply.opcode = 2;
       reply.sender_mac = mac_;
       reply.sender_ip = ip_;
-      reply.target_mac = parsed->arp.sender_mac;
-      reply.target_ip = parsed->arp.sender_ip;
-      link_->Send(mac_, BuildArpFrame(mac_, parsed->arp.sender_mac, reply));
+      reply.target_mac = f.arp.sender_mac;
+      reply.target_ip = f.arp.sender_ip;
+      link_->Send(mac_, BuildArpFrame(mac_, f.arp.sender_mac, reply));
     }
     return;
   }
-  if (!parsed->is_tcp || parsed->ip.dst != ip_ || !parsed->tcp.checksum_ok) {
+  if (!f.is_tcp() || f.ip.dst != ip_ || !f.TcpChecksumOk()) {
     return;
   }
-  arp_[parsed->ip.src] = parsed->eth.src;
+  arp_[f.ip.src] = f.eth.src;
   // Interrupt + softirq processing occupies the CPU before the stack runs.
-  WireFrame f = std::move(*parsed);
-  CpuRun(costs_.linux_syn_cost / 2, [this, f = std::move(f)] { HandleTcp(f); });
+  std::vector<uint8_t> segment(f.segment.begin(), f.segment.end());
+  CpuRun(costs_.linux_syn_cost / 2,
+         [this, src = f.ip.src, segment = std::move(segment)] { HandleTcp(src, segment); });
 }
 
-void MonolithicServer::HandleTcp(const WireFrame& f) {
-  ConnKey key{ip_, f.tcp.dst_port, f.ip.src, f.tcp.src_port};
+void MonolithicServer::HandleTcp(Ip4Addr src, std::span<const uint8_t> segment) {
+  const TcpHeader tcp = ReadTcpHeader(segment);
+  const std::span<const uint8_t> payload = segment.subspan(kTcpHeaderLen);
+  ConnKey key{ip_, tcp.dst_port, src, tcp.src_port};
   auto it = conns_.find(key);
 
   if (it == conns_.end()) {
-    if ((f.tcp.flags & kTcpSyn) != 0 && (f.tcp.flags & kTcpAck) == 0 && f.tcp.dst_port == 80) {
+    if ((tcp.flags & kTcpSyn) != 0 && (tcp.flags & kTcpAck) == 0 && tcp.dst_port == 80) {
       // Global listen queue: no notion of who is asking (the paper's
       // motivating weakness — all accounting happens after dispatch).
       if (half_open_ >= costs_.linux_syn_backlog) {
@@ -93,7 +96,7 @@ void MonolithicServer::HandleTcp(const WireFrame& f) {
       c.snd_nxt = c.iss + 1;
       c.snd_una = c.iss;
       c.send_base = c.iss + 1;
-      c.rcv_nxt = f.tcp.seq + 1;
+      c.rcv_nxt = tcp.seq + 1;
       conns_[key] = c;
       ++half_open_;
       SendSegment(key, kTcpSyn | kTcpAck, c.iss, c.rcv_nxt, {});
@@ -102,7 +105,7 @@ void MonolithicServer::HandleTcp(const WireFrame& f) {
   }
 
   Conn& c = it->second;
-  if ((f.tcp.flags & kTcpRst) != 0) {
+  if ((tcp.flags & kTcpRst) != 0) {
     if (c.state == Conn::State::kSynRecvd && half_open_ > 0) {
       --half_open_;
     }
@@ -110,15 +113,15 @@ void MonolithicServer::HandleTcp(const WireFrame& f) {
     return;
   }
 
-  if ((f.tcp.flags & kTcpAck) != 0) {
-    if (c.state == Conn::State::kSynRecvd && f.tcp.ack == c.iss + 1) {
+  if ((tcp.flags & kTcpAck) != 0) {
+    if (c.state == Conn::State::kSynRecvd && tcp.ack == c.iss + 1) {
       c.state = Conn::State::kEstablished;
       if (half_open_ > 0) {
         --half_open_;
       }
     }
-    if (static_cast<int32_t>(f.tcp.ack - c.snd_una) > 0) {
-      c.snd_una = f.tcp.ack;
+    if (static_cast<int32_t>(tcp.ack - c.snd_una) > 0) {
+      c.snd_una = tcp.ack;
       c.cwnd_segments = std::min<uint32_t>(c.cwnd_segments + 1, 16);
       if (c.fin_sent && c.snd_una == c.fin_seq + 1) {
         if (c.state == Conn::State::kFinWait1) {
@@ -130,10 +133,10 @@ void MonolithicServer::HandleTcp(const WireFrame& f) {
     }
   }
 
-  uint32_t seg_len = static_cast<uint32_t>(f.payload.size());
-  if (seg_len > 0 && f.tcp.seq == c.rcv_nxt) {
+  uint32_t seg_len = static_cast<uint32_t>(payload.size());
+  if (seg_len > 0 && tcp.seq == c.rcv_nxt) {
     c.rcv_nxt += seg_len;
-    c.reqbuf.append(reinterpret_cast<const char*>(f.payload.data()), seg_len);
+    c.reqbuf.append(reinterpret_cast<const char*>(payload.data()), seg_len);
     SendSegment(c.key, kTcpAck, c.snd_nxt, c.rcv_nxt, {});
     if (!c.responded && c.reqbuf.find("\r\n\r\n") != std::string::npos) {
       c.responded = true;
@@ -164,7 +167,7 @@ void MonolithicServer::HandleTcp(const WireFrame& f) {
     SendSegment(c.key, kTcpAck, c.snd_nxt, c.rcv_nxt, {});
   }
 
-  if ((f.tcp.flags & kTcpFin) != 0 && f.tcp.seq + seg_len == c.rcv_nxt) {
+  if ((tcp.flags & kTcpFin) != 0 && tcp.seq + seg_len == c.rcv_nxt) {
     c.rcv_nxt += 1;
     SendSegment(c.key, kTcpAck, c.snd_nxt, c.rcv_nxt, {});
     if (c.state == Conn::State::kFinWait2 || c.state == Conn::State::kFinWait1) {

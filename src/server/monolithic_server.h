@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,10 +59,11 @@ class MonolithicServer : public NetEndpoint {
   };
 
   // Serializes work on the single CPU; runs `fn` when the CPU gets to it.
-  void CpuRun(Cycles cost, std::function<void()> fn);
+  void CpuRun(Cycles cost, EventQueue::Callback fn);
   void SendSegment(const ConnKey& key, uint8_t flags, uint32_t seq, uint32_t ack,
                    const std::vector<uint8_t>& payload);
-  void HandleTcp(const WireFrame& f);
+  // `segment` is the TCP header and payload of a frame from `src`.
+  void HandleTcp(Ip4Addr src, std::span<const uint8_t> segment);
   void PumpSend(Conn& c);
   void HandleRequest(Conn& c);
 

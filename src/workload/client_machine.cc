@@ -98,7 +98,9 @@ void TcpPeer::OnTimer() {
   ArmTimer();
 }
 
-void TcpPeer::OnSegment(const TcpHeader& hdr, const std::vector<uint8_t>& payload) {
+void TcpPeer::OnSegment(std::span<const uint8_t> segment) {
+  const TcpHeader hdr = ReadTcpHeader(segment);
+  const std::span<const uint8_t> payload = segment.subspan(kTcpHeaderLen);
   if ((hdr.flags & kTcpRst) != 0) {
     Fail();
     return;
@@ -279,10 +281,33 @@ void ClientMachine::ReleaseConnection(TcpPeer* peer) {
   slab_->Release(peer->self_);
 }
 
+MacAddr* ClientMachine::FindArpEntry(Ip4Addr ip) {
+  if (has_arp_ && arp_first_.first == ip) {
+    return &arp_first_.second;
+  }
+  for (auto& [entry_ip, mac] : arp_) {
+    if (entry_ip == ip) {
+      return &mac;
+    }
+  }
+  return nullptr;
+}
+
+void ClientMachine::AddArpEntry(Ip4Addr ip, MacAddr mac) {
+  if (!has_arp_) {
+    has_arp_ = true;
+    arp_first_ = {ip, mac};
+  } else if (MacAddr* entry = FindArpEntry(ip); entry != nullptr) {
+    *entry = mac;
+  } else {
+    arp_.emplace_back(ip, mac);
+  }
+}
+
 void ClientMachine::SendTcp(TcpPeer* peer, uint8_t flags, uint32_t seq, uint32_t ack,
                             const std::vector<uint8_t>& payload) {
-  auto it = arp_.find(peer->remote_);
-  if (it == arp_.end()) {
+  const MacAddr* dst = FindArpEntry(peer->remote_);
+  if (dst == nullptr) {
     return;  // no ARP mapping: drop (the topology builder preloads these)
   }
   TcpHeader hdr;
@@ -292,48 +317,50 @@ void ClientMachine::SendTcp(TcpPeer* peer, uint8_t flags, uint32_t seq, uint32_t
   hdr.ack = ack;
   hdr.flags = flags;
   hdr.window = 0xffff;
-  Transmit(BuildTcpFrame(mac_, it->second, ip_, peer->remote_, hdr, payload));
+  Transmit(BuildTcpFrame(mac_, *dst, ip_, peer->remote_, hdr, payload));
 }
 
 void ClientMachine::DeliverFrame(const std::vector<uint8_t>& frame) {
   ++frames_rx_;
-  auto parsed = ParseFrame(frame);
-  if (!parsed.has_value()) {
+  FrameView f;
+  if (!ParseFrame(frame, &f)) {
     return;
   }
-  if (parsed->is_arp) {
-    // Answer requests for our IP; learn replies.
-    arp_[parsed->arp.sender_ip] = parsed->arp.sender_mac;
-    if (parsed->arp.opcode == 1 && parsed->arp.target_ip == ip_) {
+  if (f.is_arp()) {
+    // Answer requests for our IP; learn every sender.
+    AddArpEntry(f.arp.sender_ip, f.arp.sender_mac);
+    if (f.arp.opcode == 1 && f.arp.target_ip == ip_) {
       ArpPacket reply;
       reply.opcode = 2;
       reply.sender_mac = mac_;
       reply.sender_ip = ip_;
-      reply.target_mac = parsed->arp.sender_mac;
-      reply.target_ip = parsed->arp.sender_ip;
-      Transmit(BuildArpFrame(mac_, parsed->arp.sender_mac, reply));
+      reply.target_mac = f.arp.sender_mac;
+      reply.target_ip = f.arp.sender_ip;
+      Transmit(BuildArpFrame(mac_, f.arp.sender_mac, reply));
     }
     return;
   }
-  if (!parsed->is_tcp || parsed->ip.dst != ip_ || !parsed->tcp.checksum_ok) {
+  if (!f.is_tcp() || f.ip.dst != ip_ || !f.TcpChecksumOk()) {
     return;
   }
-  TcpPeer* peer = FindPeer(parsed->tcp.dst_port);
+  TcpPeer* peer = FindPeer(f.tcp.dst_port);
   if (peer == nullptr) {
     return;
   }
   // Client-side processing delay before the peer reacts. The dispatch
   // captures the handle, not the port: a connection released and its port
   // re-issued between schedule and fire must not swallow the segment.
-  // The payload moves into the closure: no copy per data segment.
-  TcpHeader hdr = parsed->tcp;
-  ConnHandle h = peer->self_;
-  eq_->ScheduleTimerAfter(
-      model_.client_processing / 4, [this, h, hdr, payload = std::move(parsed->payload)] {
-        if (TcpPeer* p = ResolvePeer(h); p != nullptr) {
-          p->OnSegment(hdr, payload);
-        }
-      });
+  // The segment's bytes are copied once, into the closure; the peer
+  // re-reads its header when the closure fires.
+  auto dispatch = [this, h = peer->self_,
+                   segment = std::vector<uint8_t>(f.segment.begin(), f.segment.end())] {
+    if (TcpPeer* p = ResolvePeer(h); p != nullptr) {
+      p->OnSegment(segment);
+    }
+  };
+  static_assert(sizeof(dispatch) <= InlineFn<void()>::kCapacity,
+                "the segment dispatch fits the timer entry's inline storage");
+  eq_->ScheduleTimerAfter(model_.client_processing / 4, std::move(dispatch));
 }
 
 }  // namespace escort

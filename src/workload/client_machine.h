@@ -22,7 +22,7 @@
 #define SRC_WORKLOAD_CLIENT_MACHINE_H_
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -46,7 +46,9 @@ class ConnOwner {
  public:
   virtual ~ConnOwner() = default;
   virtual void OnConnected(TcpPeer*) {}
-  virtual void OnData(TcpPeer*, const std::vector<uint8_t>&) {}
+  // The bytes point into the segment being processed: copy what must
+  // outlive the call.
+  virtual void OnData(TcpPeer*, std::span<const uint8_t>) {}
   virtual void OnClosed(TcpPeer*) {}   // graceful close completed
   virtual void OnFailed(TcpPeer*) {}   // gave up (retransmit limit / RST)
 };
@@ -85,7 +87,8 @@ class TcpPeer {
  private:
   friend class ClientMachine;
 
-  void OnSegment(const TcpHeader& hdr, const std::vector<uint8_t>& payload);
+  // `segment` is the TCP header and payload as received.
+  void OnSegment(std::span<const uint8_t> segment);
   void SendFlags(uint8_t flags, uint32_t seq, const std::vector<uint8_t>& payload);
   void ArmTimer();
   void CancelTimer();
@@ -138,7 +141,8 @@ class ClientMachine : public NetEndpoint {
   Rng& rng() { return rng_; }
   const NetworkModel& model() const { return model_; }
 
-  void AddArpEntry(Ip4Addr ip, MacAddr mac) { arp_[ip] = mac; }
+  // Inserts or replaces the mapping for `ip`.
+  void AddArpEntry(Ip4Addr ip, MacAddr mac);
 
   // Opens a connection (does not send the SYN; call Connect()). The owner
   // must outlive the connection; it may be null (fire-and-forget senders).
@@ -173,15 +177,21 @@ class ClientMachine : public NetEndpoint {
   void SendTcp(TcpPeer* peer, uint8_t flags, uint32_t seq, uint32_t ack,
                const std::vector<uint8_t>& payload);
   TcpPeer* FindPeer(uint16_t local_port);
+  MacAddr* FindArpEntry(Ip4Addr ip);
 
   EventQueue* const eq_;
   SharedLink* const link_;
   const MacAddr mac_;
   const Ip4Addr ip_;
+  // ARP table, flat, in insertion order. In practice every machine holds
+  // one entry (the server), read by each SendTcp and rewritten by each
+  // broadcast: the first entry lives in the machine itself, beside ip_,
+  // and only later ones go to the heap.
+  bool has_arp_ = false;
+  std::pair<Ip4Addr, MacAddr> arp_first_{};
+  std::vector<std::pair<Ip4Addr, MacAddr>> arp_;
   const NetworkModel model_;
   Rng rng_;
-
-  std::map<Ip4Addr, MacAddr> arp_;
   // Fallback table for slab-less construction; slab_ points at it then.
   Slab<TcpPeer> own_slab_;
   Slab<TcpPeer>* slab_ = nullptr;

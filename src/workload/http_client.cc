@@ -33,7 +33,7 @@ void HttpClient::OnConnected(TcpPeer* peer) {
   peer->SendData(std::vector<uint8_t>(req.begin(), req.end()));
 }
 
-void HttpClient::OnData(TcpPeer*, const std::vector<uint8_t>& bytes) {
+void HttpClient::OnData(TcpPeer*, std::span<const uint8_t> bytes) {
   bytes_ += bytes.size();
   req_bytes_this_conn_ += bytes.size();
 }
@@ -138,7 +138,7 @@ void QosReceiver::OnConnected(TcpPeer* peer) {
   peer->SendData(std::vector<uint8_t>(req.begin(), req.end()));
 }
 
-void QosReceiver::OnData(TcpPeer*, const std::vector<uint8_t>& bytes) {
+void QosReceiver::OnData(TcpPeer*, std::span<const uint8_t> bytes) {
   bytes_ += bytes.size();
   meter_.Record(machine_->eq()->now(), bytes.size());
 }

@@ -51,7 +51,7 @@ class HttpClient : public ConnOwner {
   void ScheduleNext(Cycles delay);
 
   void OnConnected(TcpPeer* peer) override;
-  void OnData(TcpPeer* peer, const std::vector<uint8_t>& bytes) override;
+  void OnData(TcpPeer* peer, std::span<const uint8_t> bytes) override;
   void OnClosed(TcpPeer* peer) override;
   void OnFailed(TcpPeer* peer) override;
 
@@ -130,7 +130,7 @@ class QosReceiver : public ConnOwner {
  private:
   void Connect();
   void OnConnected(TcpPeer* peer) override;
-  void OnData(TcpPeer* peer, const std::vector<uint8_t>& bytes) override;
+  void OnData(TcpPeer* peer, std::span<const uint8_t> bytes) override;
   void OnClosed(TcpPeer* peer) override;
   void OnFailed(TcpPeer* peer) override;
 

@@ -8,14 +8,22 @@ namespace escort {
 
 namespace {
 
-uint32_t PseudoSum(Ip4Addr src, Ip4Addr dst, uint16_t tcp_len) {
+// The TCP checksum over the pseudo-header and `segment`: the value to put in
+// the checksum field (zero while summing), and zero when verifying a segment
+// that carries a correct one.
+uint16_t TcpChecksum(Ip4Addr src, Ip4Addr dst, std::span<const uint8_t> segment) {
   uint8_t pseudo[12];
   PutU32(pseudo, src.value);
   PutU32(pseudo + 4, dst.value);
   pseudo[8] = 0;
   pseudo[9] = kIpProtoTcp;
-  PutU16(pseudo + 10, tcp_len);
-  return ChecksumPartial(pseudo, sizeof(pseudo));
+  PutU16(pseudo + 10, static_cast<uint16_t>(segment.size()));
+  uint32_t acc = ChecksumPartial(pseudo, sizeof(pseudo));
+  acc = ChecksumPartial(segment.data(), segment.size(), acc);
+  while (acc >> 16) {
+    acc = (acc & 0xffff) + (acc >> 16);
+  }
+  return static_cast<uint16_t>(~acc);
 }
 
 }  // namespace
@@ -54,13 +62,7 @@ std::vector<uint8_t> BuildTcpFrame(const MacAddr& src_mac, const MacAddr& dst_ma
   if (!payload.empty()) {
     std::memcpy(t + kTcpHeaderLen, payload.data(), payload.size());
   }
-  uint16_t tcp_len = static_cast<uint16_t>(kTcpHeaderLen + payload.size());
-  uint32_t acc = PseudoSum(src_ip, dst_ip, tcp_len);
-  acc = ChecksumPartial(t, tcp_len, acc);
-  while (acc >> 16) {
-    acc = (acc & 0xffff) + (acc >> 16);
-  }
-  PutU16(t + 16, static_cast<uint16_t>(~acc));
+  PutU16(t + 16, TcpChecksum(src_ip, dst_ip, {t, kTcpHeaderLen + payload.size()}));
   return f;
 }
 
@@ -84,11 +86,13 @@ std::vector<uint8_t> BuildArpFrame(const MacAddr& src_mac, const MacAddr& dst_ma
   return f;
 }
 
-std::optional<WireFrame> ParseFrame(const std::vector<uint8_t>& bytes) {
+bool ParseFrame(std::span<const uint8_t> bytes, FrameView* view) {
   if (bytes.size() < kEthHeaderLen) {
-    return std::nullopt;
+    return false;
   }
-  WireFrame f;
+  FrameView& f = *view;
+  f.frame = bytes;
+  f.segment = {};
   const uint8_t* p = bytes.data();
   std::memcpy(f.eth.dst.bytes.data(), p, 6);
   std::memcpy(f.eth.src.bytes.data(), p + 6, 6);
@@ -96,58 +100,61 @@ std::optional<WireFrame> ParseFrame(const std::vector<uint8_t>& bytes) {
 
   if (f.eth.ethertype == kEtherTypeArp) {
     if (bytes.size() < kEthHeaderLen + kArpPacketLen) {
-      return std::nullopt;
+      return false;
     }
     const uint8_t* a = p + kEthHeaderLen;
-    f.is_arp = true;
     f.arp.opcode = GetU16(a + 6);
     std::memcpy(f.arp.sender_mac.bytes.data(), a + 8, 6);
     f.arp.sender_ip.value = GetU32(a + 14);
     std::memcpy(f.arp.target_mac.bytes.data(), a + 18, 6);
     f.arp.target_ip.value = GetU32(a + 24);
-    return f;
+    return true;
   }
 
   if (f.eth.ethertype != kEtherTypeIp || bytes.size() < kEthHeaderLen + kIpHeaderLen) {
-    return std::nullopt;
+    return false;
   }
   const uint8_t* ip = p + kEthHeaderLen;
   if ((ip[0] >> 4) != 4 || (ip[0] & 0xf) != 5) {
-    return std::nullopt;
+    return false;
   }
   f.ip.total_length = GetU16(ip + 2);
   f.ip.ttl = ip[8];
   f.ip.protocol = ip[9];
   f.ip.src.value = GetU32(ip + 12);
   f.ip.dst.value = GetU32(ip + 16);
-  f.ip.checksum_ok = InternetChecksum(ip, kIpHeaderLen) == 0;
   if (f.ip.protocol != kIpProtoTcp) {
-    return f;
+    return true;
   }
   if (bytes.size() < kEthHeaderLen + kIpHeaderLen + kTcpHeaderLen ||
       f.ip.total_length < kIpHeaderLen + kTcpHeaderLen) {
-    return std::nullopt;
+    return false;
   }
-  const uint8_t* t = ip + kIpHeaderLen;
-  f.is_tcp = true;
-  f.tcp.src_port = GetU16(t);
-  f.tcp.dst_port = GetU16(t + 2);
-  f.tcp.seq = GetU32(t + 4);
-  f.tcp.ack = GetU32(t + 8);
-  f.tcp.flags = t[13];
-  f.tcp.window = GetU16(t + 14);
-  uint16_t tcp_len = static_cast<uint16_t>(f.ip.total_length - kIpHeaderLen);
+  const size_t tcp_len = f.ip.total_length - kIpHeaderLen;
   if (kEthHeaderLen + kIpHeaderLen + tcp_len > bytes.size()) {
-    return std::nullopt;
+    return false;
   }
-  uint32_t acc = PseudoSum(f.ip.src, f.ip.dst, tcp_len);
-  acc = ChecksumPartial(t, tcp_len, acc);
-  while (acc >> 16) {
-    acc = (acc & 0xffff) + (acc >> 16);
-  }
-  f.tcp.checksum_ok = static_cast<uint16_t>(~acc) == 0;
-  f.payload.assign(t + kTcpHeaderLen, t + tcp_len);
-  return f;
+  f.segment = bytes.subspan(kEthHeaderLen + kIpHeaderLen, tcp_len);
+  f.tcp = ReadTcpHeader(f.segment);
+  return true;
+}
+
+bool FrameView::IpChecksumOk() const {
+  return InternetChecksum(frame.data() + kEthHeaderLen, kIpHeaderLen) == 0;
+}
+
+bool FrameView::TcpChecksumOk() const { return TcpChecksum(ip.src, ip.dst, segment) == 0; }
+
+TcpHeader ReadTcpHeader(std::span<const uint8_t> segment) {
+  const uint8_t* t = segment.data();
+  TcpHeader h;
+  h.src_port = GetU16(t);
+  h.dst_port = GetU16(t + 2);
+  h.seq = GetU32(t + 4);
+  h.ack = GetU32(t + 8);
+  h.flags = t[13];
+  h.window = GetU16(t + 14);
+  return h;
 }
 
 }  // namespace escort

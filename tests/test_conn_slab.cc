@@ -158,7 +158,7 @@ TEST(ConnSlab, DelayedSegmentForDeadConnIsNotMisdelivered) {
   m->set_next_port_for_test(port);
   FnConnOwner owner;
   uint64_t data_events = 0;
-  owner.on_data = [&](TcpPeer*, const std::vector<uint8_t>&) { ++data_events; };
+  owner.on_data = [&](TcpPeer*, std::span<const uint8_t>) { ++data_events; };
   TcpPeer* b = m->OpenConnection(tb.server->options().ip, 80, &owner);
   ASSERT_EQ(b->local_port(), port);
   ASSERT_EQ(b->handle().index, ha.index);

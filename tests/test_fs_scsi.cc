@@ -60,7 +60,7 @@ TEST(FsModule, ServedDocumentMatchesDiskContent) {
     std::string req = "GET /doc1k HTTP/1.0\r\n\r\n";
     p->SendData(std::vector<uint8_t>(req.begin(), req.end()));
   };
-  owner.on_data = [&](TcpPeer*, const std::vector<uint8_t>& b) {
+  owner.on_data = [&](TcpPeer*, std::span<const uint8_t> b) {
     body.insert(body.end(), b.begin(), b.end());
   };
   TcpPeer* peer = m->OpenConnection(tb.server->options().ip, 80, &owner);

@@ -152,7 +152,7 @@ TEST(HttpModule, NonGetMethodRejected) {
     std::string req = "DELETE /doc1b HTTP/1.0\r\n\r\n";
     p->SendData(std::vector<uint8_t>(req.begin(), req.end()));
   };
-  owner.on_data = [&](TcpPeer*, const std::vector<uint8_t>& b) { bytes += b.size(); };
+  owner.on_data = [&](TcpPeer*, std::span<const uint8_t> b) { bytes += b.size(); };
   owner.on_closed = [&](TcpPeer*) { closed = true; };
   TcpPeer* peer = m->OpenConnection(tb.server->options().ip, 80, &owner);
   peer->Connect();
@@ -181,7 +181,7 @@ TEST(HttpModule, RequestSplitAcrossSegmentsIsReassembled) {
       }
     });
   };
-  owner.on_data = [&](TcpPeer*, const std::vector<uint8_t>& b) { bytes += b.size(); };
+  owner.on_data = [&](TcpPeer*, std::span<const uint8_t> b) { bytes += b.size(); };
   owner.on_closed = [&](TcpPeer*) { closed = true; };
   TcpPeer* peer = m->OpenConnection(tb.server->options().ip, 80, &owner);
   peer->Connect();

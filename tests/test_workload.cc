@@ -8,7 +8,9 @@
 #include <memory>
 
 #include "src/elib/bounded_queue.h"
+#include "src/workload/client_machine.h"
 #include "src/workload/experiment.h"
+#include "src/workload/wire.h"
 
 namespace escort {
 namespace {
@@ -257,6 +259,97 @@ TEST(SharedLink, DropEveryNDropsDeterministically) {
   eq.RunToCompletion();
   EXPECT_EQ(link.frames_dropped(), 3u);
   EXPECT_EQ(sink.frames, 6u);
+}
+
+// Keeps every frame it receives.
+class FrameRecorder : public NetEndpoint {
+ public:
+  void DeliverFrame(const std::vector<uint8_t>& frame) override { frames.push_back(frame); }
+  std::vector<std::vector<uint8_t>> frames;
+};
+
+TEST(ClientMachineArp, LearnsEverySenderAndAnswersOnlyRequestsForItsOwnIp) {
+  EventQueue eq;
+  SharedLink link(&eq, NetworkModel::Calibrated());
+  const MacAddr client_mac = MacAddr::FromIndex(1);
+  const Ip4Addr client_ip = Ip4Addr::FromOctets(10, 1, 0, 1);
+  ClientMachine client(&eq, &link, client_mac, client_ip, NetworkModel::Calibrated(), 7);
+  FrameRecorder peer;
+  const MacAddr peer_mac = MacAddr::FromIndex(2);
+  link.Attach(peer_mac, &peer);
+
+  auto send_arp = [&](uint16_t opcode, Ip4Addr sender_ip, Ip4Addr target_ip) {
+    ArpPacket arp;
+    arp.opcode = opcode;
+    arp.sender_mac = peer_mac;
+    arp.sender_ip = sender_ip;
+    arp.target_ip = target_ip;
+    link.Send(peer_mac, BuildArpFrame(peer_mac, MacAddr::Broadcast(), arp));
+    eq.RunToCompletion();
+  };
+  // A SYN to `ip` leaves the machine only if it has learned a MAC for it;
+  // every frame the peer receives is a SYN or an ARP reply.
+  auto learned = [&](Ip4Addr ip) {
+    peer.frames.clear();
+    TcpPeer* conn = client.OpenConnection(ip, 80, nullptr);
+    conn->Connect();
+    conn->Abort();
+    eq.RunToCompletion();
+    FrameView f;
+    return peer.frames.size() == 1 && ParseFrame(peer.frames[0], &f) && f.is_tcp() &&
+           f.ip.dst == ip;
+  };
+  auto replies = [&] {
+    int n = 0;
+    for (const std::vector<uint8_t>& frame : peer.frames) {
+      FrameView f;
+      n += ParseFrame(frame, &f) && f.is_arp() ? 1 : 0;
+    }
+    return n;
+  };
+
+  // A request for someone else's address: learned, not answered.
+  const Ip4Addr a = Ip4Addr::FromOctets(10, 0, 0, 1);
+  ASSERT_FALSE(learned(a));
+  peer.frames.clear();
+  send_arp(1, a, Ip4Addr::FromOctets(192, 168, 7, 7));
+  EXPECT_EQ(replies(), 0);
+  EXPECT_TRUE(learned(a));
+
+  // A reply, even one addressed to this machine: learned, never answered.
+  const Ip4Addr b = Ip4Addr::FromOctets(10, 0, 0, 2);
+  peer.frames.clear();
+  send_arp(2, b, client_ip);
+  EXPECT_EQ(replies(), 0);
+  EXPECT_TRUE(learned(b));
+  EXPECT_TRUE(learned(a));
+
+  // A request for this machine's address: learned and answered once, to
+  // the requester, with this machine's MAC.
+  const Ip4Addr c = Ip4Addr::FromOctets(10, 0, 0, 3);
+  peer.frames.clear();
+  send_arp(1, c, client_ip);
+  ASSERT_EQ(peer.frames.size(), 1u);
+  FrameView reply;
+  ASSERT_TRUE(ParseFrame(peer.frames[0], &reply));
+  ASSERT_TRUE(reply.is_arp());
+  EXPECT_EQ(reply.eth.dst, peer_mac);
+  EXPECT_EQ(reply.arp.opcode, 2);
+  EXPECT_EQ(reply.arp.sender_mac, client_mac);
+  EXPECT_EQ(reply.arp.sender_ip, client_ip);
+  EXPECT_EQ(reply.arp.target_mac, peer_mac);
+  EXPECT_EQ(reply.arp.target_ip, c);
+  EXPECT_TRUE(learned(c));
+  EXPECT_EQ(client.frames_received(), 3u);
+
+  // A later mapping replaces an earlier one (the first entry and a later
+  // one): the SYN then goes to a MAC nobody holds.
+  for (Ip4Addr ip : {a, c}) {
+    client.AddArpEntry(ip, MacAddr::FromIndex(3));
+    EXPECT_FALSE(learned(ip));
+    client.AddArpEntry(ip, peer_mac);
+    EXPECT_TRUE(learned(ip));
+  }
 }
 
 TEST(ExperimentHarness, BasicRunProducesThroughput) {

@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/kernel/audit.h"
@@ -20,14 +21,14 @@ namespace escort {
 // per-connection capture state); this shim is for tests only.
 struct FnConnOwner : ConnOwner {
   std::function<void(TcpPeer*)> on_connected;
-  std::function<void(TcpPeer*, const std::vector<uint8_t>&)> on_data;
+  std::function<void(TcpPeer*, std::span<const uint8_t>)> on_data;
   std::function<void(TcpPeer*)> on_closed;
   std::function<void(TcpPeer*)> on_failed;
 
   void OnConnected(TcpPeer* p) override {
     if (on_connected) on_connected(p);
   }
-  void OnData(TcpPeer* p, const std::vector<uint8_t>& b) override {
+  void OnData(TcpPeer* p, std::span<const uint8_t> b) override {
     if (on_data) on_data(p, b);
   }
   void OnClosed(TcpPeer* p) override {
