@@ -48,6 +48,16 @@ bool SameWorkloadMetrics(const ExperimentResult& a, const ExperimentResult& b) {
          a.ledger.Total() == b.ledger.Total();
 }
 
+// The client count a cell actually ran with (after any --clients override).
+int CellClients(const Sweep& sweep, const std::string& id) {
+  for (const SweepCell& cell : sweep.cells()) {
+    if (cell.id == id) {
+      return cell.spec.clients;
+    }
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -69,13 +79,16 @@ int main(int argc, char** argv) {
   std::printf("%9s %10s %12s %10s %10s %11s %13s\n", "clients", "conns/s", "completions",
               "peer_hw", "pcb_hw", "timers_hw", "bytes/client");
   for (int n : clients) {
-    const ExperimentResult& r = sweep.Result(CellId(n, true));
+    const std::string id = CellId(n, true);
+    const int cell_clients = CellClients(sweep, id);
+    const ExperimentResult& r = sweep.Result(id);
     const MemoryProfile& m = r.memory;
     double bytes_per_client =
         static_cast<double>(m.pcb_bytes_reserved + m.peer_bytes_reserved +
                             m.timer_bytes_reserved) /
-        static_cast<double>(n);
-    std::printf("%9d %10.1f %12llu %10llu %10llu %11llu %13.1f\n", n, r.conns_per_sec,
+        static_cast<double>(cell_clients);
+    std::printf("%9d %10.1f %12llu %10llu %10llu %11llu %13.1f\n", cell_clients,
+                r.conns_per_sec,
                 static_cast<unsigned long long>(r.completions_total),
                 static_cast<unsigned long long>(m.peer_high_water),
                 static_cast<unsigned long long>(m.pcb_high_water),
@@ -86,7 +99,8 @@ int main(int argc, char** argv) {
   const ExperimentResult& wheel = sweep.Result(CellId(compare_at, true));
   const ExperimentResult& heap = sweep.Result(CellId(compare_at, false));
   bool identical = SameWorkloadMetrics(wheel, heap);
-  std::printf("\n--- Timer backend equivalence (%d clients) ---\n", compare_at);
+  std::printf("\n--- Timer backend equivalence (%d clients) ---\n",
+              CellClients(sweep, CellId(compare_at, true)));
   std::printf("wheel: %.1f conn/s, %llu timers armed peak, heap fallback: %.1f conn/s\n",
               wheel.conns_per_sec,
               static_cast<unsigned long long>(wheel.memory.timer_high_water),

@@ -11,6 +11,9 @@
 //    same-bin coalescing fast path and the bin-advance slow path,
 //  * Registry Sample over a realistic metric population — the 5 ms-tick
 //    cost the sampler event pays,
+//  * the whole sampler tick over N owners in M account labels: the
+//    id-indexed ledger gauges against the name-based readout (a Snapshot
+//    map plus one string-built gauge lookup per label),
 //  * SerializeCell — the end-of-run document cost.
 //
 // Wall-clock numbers are host-dependent; CI runs this for sanity, while
@@ -20,9 +23,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "src/kernel/kernel.h"
 #include "src/sim/metrics.h"
+#include "src/workload/experiment.h"
 
 namespace escort {
 namespace {
@@ -123,6 +130,58 @@ void BM_RegistrySample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * metrics * 2);
 }
 BENCHMARK(BM_RegistrySample)->Arg(8)->Arg(32);
+
+// N owners (range 0) spread over M account labels (range 1), each with a
+// nonzero balance, registered with a quiet kernel.
+struct SamplerPopulation {
+  explicit SamplerPopulation(const benchmark::State& state) : kernel(&eq, Quiet()) {
+    const int owners_n = static_cast<int>(state.range(0));
+    const int labels = static_cast<int>(state.range(1));
+    for (int i = 0; i < owners_n; ++i) {
+      owners.push_back(
+          std::make_unique<Owner>(OwnerType::kPath, kernel.NextOwnerId(), "bench"));
+      owners.back()->usage().cycles = 1000 + static_cast<Cycles>(i);
+      kernel.RegisterOwner(owners.back().get(), "label-" + std::to_string(i % labels));
+    }
+  }
+  static KernelConfig Quiet() {
+    KernelConfig kc;
+    kc.start_softclock = false;
+    return kc;
+  }
+  EventQueue eq;
+  Kernel kernel;
+  std::vector<std::unique_ptr<Owner>> owners;
+  MetricsRegistry reg;
+};
+
+void BM_MetricsSamplerTick(benchmark::State& state) {
+  SamplerPopulation pop(state);
+  LedgerGauges gauges(&pop.kernel, &pop.reg);
+  Cycles now = 0;
+  for (auto _ : state) {
+    gauges.Publish();
+    pop.reg.Sample(now += 1500000);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MetricsSamplerTick)->Args({64, 8})->Args({512, 16});
+
+void BM_MetricsSamplerTickByName(benchmark::State& state) {
+  SamplerPopulation pop(state);
+  Cycles now = 0;
+  for (auto _ : state) {
+    CycleLedger snapshot = pop.kernel.Snapshot();
+    for (const auto& [label, cycles] : snapshot.totals()) {
+      MetricSet(ESCORT_METRIC_GAUGE(&pop.reg, "kernel.cycles." + label,
+                                    "cycles charged to this ledger account"),
+                static_cast<int64_t>(cycles));
+    }
+    pop.reg.Sample(now += 1500000);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MetricsSamplerTickByName)->Args({64, 8})->Args({512, 16});
 
 void BM_SerializeCell(benchmark::State& state) {
   MetricsRegistry reg;

@@ -38,7 +38,10 @@ inline uint32_t GetU32(const uint8_t* p) {
 // partial sum (for pseudo-headers).
 uint16_t InternetChecksum(const uint8_t* data, size_t len, uint32_t initial = 0);
 
-// Partial (un-folded) sum usable as `initial` above.
+// Partial sum usable as `initial` above (or as `acc` of a further call):
+// `acc` plus the big-endian 16-bit words of `data`, the last odd byte as a
+// high byte. Only its folded 16-bit value is defined: that equals the fold
+// of the plain word-by-word sum, and it is zero only when that sum is.
 uint32_t ChecksumPartial(const uint8_t* data, size_t len, uint32_t acc = 0);
 
 }  // namespace escort

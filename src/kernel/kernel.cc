@@ -102,7 +102,14 @@ ProtectionDomain* Kernel::domain(PdId id) {
 }
 
 void Kernel::RegisterOwner(Owner* owner, const std::string& account_label) {
-  account_labels_[owner->id()] = AccountRecord{owner, account_label};
+  auto [it, inserted] =
+      label_ids_.try_emplace(account_label, static_cast<LabelId>(label_names_.size()));
+  if (inserted) {
+    label_names_.push_back(account_label);
+    retired_cycles_.push_back(0);
+    retired_seen_.push_back(0);
+  }
+  account_labels_[owner->id()] = AccountRecord{owner, it->second};
 }
 
 void Kernel::UnregisterOwner(Owner* owner) {
@@ -110,14 +117,16 @@ void Kernel::UnregisterOwner(Owner* owner) {
   if (it == account_labels_.end()) {
     return;
   }
-  retired_.Charge(it->second.label, owner->usage().cycles);
+  const LabelId id = it->second.label_id;
+  retired_cycles_[id] += owner->usage().cycles;
+  retired_seen_[id] = 1;
   account_labels_.erase(it);
 }
 
 const std::string& Kernel::AccountLabel(const Owner* owner) const {
   static const std::string kUnknown = "unknown";
   auto it = account_labels_.find(owner->id());
-  return it == account_labels_.end() ? kUnknown : it->second.label;
+  return it == account_labels_.end() ? kUnknown : label_names_[it->second.label_id];
 }
 
 // --- ACL --------------------------------------------------------------------------
@@ -766,11 +775,25 @@ void Kernel::SettleIdle() {
   }
 }
 
-CycleLedger Kernel::Snapshot() {
+void Kernel::LabelTotals(std::vector<Cycles>* cycles, std::vector<uint8_t>* present) {
   SettleIdle();
-  CycleLedger ledger = retired_;
+  cycles->assign(retired_cycles_.begin(), retired_cycles_.end());
+  present->assign(retired_seen_.begin(), retired_seen_.end());
   for (const auto& [id, rec] : account_labels_) {
-    ledger.Charge(rec.label, rec.owner->usage().cycles);
+    (*cycles)[rec.label_id] += rec.owner->usage().cycles;
+    (*present)[rec.label_id] = 1;
+  }
+}
+
+CycleLedger Kernel::Snapshot() {
+  std::vector<Cycles> cycles;
+  std::vector<uint8_t> present;
+  LabelTotals(&cycles, &present);
+  CycleLedger ledger;
+  for (LabelId id = 0; id < cycles.size(); ++id) {
+    if (present[id] != 0) {
+      ledger.Charge(label_names_[id], cycles[id]);
+    }
   }
   return ledger;
 }
@@ -782,7 +805,8 @@ void Kernel::ResetAccounting() {
   for (auto& [id, rec] : account_labels_) {
     rec.owner->usage().cycles = 0;
   }
-  retired_.Reset();
+  std::fill(retired_cycles_.begin(), retired_cycles_.end(), 0);
+  std::fill(retired_seen_.begin(), retired_seen_.end(), 0);
   start_time_ = eq_->now();
   accounting_overhead_cycles_ = 0;
   pd_crossings_ = 0;

@@ -75,7 +75,6 @@ class CycleLedger {
   }
   Cycles Total() const;
   const std::map<std::string, Cycles>& totals() const { return totals_; }
-  void Reset() { totals_.clear(); }
 
  private:
   std::map<std::string, Cycles> totals_;
@@ -103,11 +102,18 @@ class Kernel {
   const std::vector<std::unique_ptr<ProtectionDomain>>& domains() const { return domains_; }
 
   // Owner-id allocation and registration for path owners (created by the
-  // path layer, which lives above the kernel).
+  // path layer, which lives above the kernel). Registration interns the
+  // account label into a dense label id, once per owner; every later
+  // ledger readout works on ids.
   uint64_t NextOwnerId() { return next_owner_id_++; }
   void RegisterOwner(Owner* owner, const std::string& account_label);
   void UnregisterOwner(Owner* owner);
   const std::string& AccountLabel(const Owner* owner) const;
+
+  // Interned account labels: ids are dense, assigned in first-registration
+  // order, and never reused or forgotten.
+  using LabelId = uint32_t;
+  const std::string& label_name(LabelId id) const { return label_names_[id]; }
 
   // Registered owners, keyed by owner id: iteration follows creation
   // order, never heap layout, so every consumer (snapshots, audits,
@@ -115,7 +121,7 @@ class Kernel {
   // (EA005 — pointer-keyed iteration is the bug class this replaces).
   struct AccountRecord {
     Owner* owner = nullptr;
-    std::string label;
+    LabelId label_id = 0;
   };
   const std::map<uint64_t, AccountRecord>& account_labels() const { return account_labels_; }
 
@@ -212,8 +218,15 @@ class Kernel {
   // --- Accounting reports ---------------------------------------------------------
   // Charges any in-progress idle period up to `now` so reports balance.
   void SettleIdle();
-  // Per-label cycle totals (live owners + retired owners).
+  // Per-label cycle totals (live owners + retired owners). A label is
+  // listed while it has a live owner or has retired one since the last
+  // ResetAccounting.
   CycleLedger Snapshot();
+  // The same totals by label id, into caller-owned buffers (resized to
+  // the number of labels; no allocation once they are large enough).
+  // `present[id]` is 1 exactly for the labels Snapshot() lists, and
+  // `cycles[id]` is then its total.
+  void LabelTotals(std::vector<Cycles>* cycles, std::vector<uint8_t>* present);
   // Total cycles charged to anyone since construction.
   Cycles TotalCharged();
   Cycles start_time() const { return start_time_; }
@@ -300,7 +313,12 @@ class Kernel {
   std::vector<std::unique_ptr<ProtectionDomain>> domains_;
   uint64_t next_owner_id_ = 1;
   std::map<uint64_t, AccountRecord> account_labels_;
-  CycleLedger retired_;
+  std::map<std::string, LabelId> label_ids_;
+  std::vector<std::string> label_names_;
+  // Cycles of owners retired since the last ResetAccounting, by label id,
+  // and whether the label retired any owner in that time.
+  std::vector<Cycles> retired_cycles_;
+  std::vector<uint8_t> retired_seen_;
 
   std::vector<std::unique_ptr<Thread>> threads_;
   std::vector<std::unique_ptr<Thread>> graveyard_;

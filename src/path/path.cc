@@ -1,5 +1,7 @@
 #include "src/path/path.h"
 
+#include <algorithm>
+
 #include "src/path/path_manager.h"
 
 namespace escort {
@@ -54,23 +56,40 @@ std::vector<PdId> Path::StageDomainsUpTo(size_t from_index, PdId termination) co
 }
 
 int Path::DistinctDomainCount() const {
-  std::set<PdId> pds;
-  for (const auto& stage : stages_) {
-    pds.insert(stage->pd);
+  int count = 0;
+  for (size_t i = 0; i < stages_.size(); ++i) {
+    const PdId pd = stages_[i]->pd;
+    bool seen = false;
+    for (size_t j = 0; j < i && !seen; ++j) {
+      seen = stages_[j]->pd == pd;
+    }
+    count += seen ? 0 : 1;
   }
-  return static_cast<int>(pds.size());
+  return count;
 }
 
+namespace {
+
+std::pair<PdId, PdId> CrossingKey(PdId a, PdId b) {
+  return a < b ? std::pair{a, b} : std::pair{b, a};
+}
+
+}  // namespace
+
 void Path::AllowCrossing(PdId from, PdId to) {
-  allowed_crossings_.emplace(from, to);
-  allowed_crossings_.emplace(to, from);
+  const std::pair<PdId, PdId> key = CrossingKey(from, to);
+  if (std::find(allowed_crossings_.begin(), allowed_crossings_.end(), key) ==
+      allowed_crossings_.end()) {
+    allowed_crossings_.push_back(key);
+  }
 }
 
 bool Path::CrossingAllowed(PdId from, PdId to) const {
   if (from == to || from == kKernelDomain || to == kKernelDomain) {
     return true;
   }
-  return allowed_crossings_.count({from, to}) != 0;
+  return std::find(allowed_crossings_.begin(), allowed_crossings_.end(),
+                   CrossingKey(from, to)) != allowed_crossings_.end();
 }
 
 void Path::SpawnThreads(size_t count) {

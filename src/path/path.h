@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -139,7 +138,9 @@ class Path : public Owner {
   Kernel* const kernel_;
   PathManager* const manager_;
   std::vector<std::unique_ptr<Stage>> stages_;
-  std::set<std::pair<PdId, PdId>> allowed_crossings_;
+  // Allowed crossings as (lower, higher) domain pairs, each once: a path
+  // crosses a handful of domains, so a scan beats a node container.
+  std::vector<std::pair<PdId, PdId>> allowed_crossings_;
   std::vector<Thread*> pool_;
   size_t next_thread_ = 0;
   BoundedQueue<Message> queues_[4];

@@ -197,20 +197,39 @@ bool BaselineDetector::WatchThread(Owner* owner, Thread* /*t*/) {
     Freeze();
   }
   auto* path = static_cast<Path*>(owner);
-  auto raddr = path->attrs.GetInt("raddr");
-  if (!raddr.has_value()) {
-    return false;
-  }
-  if (!IsOutlier(ClassOf(*path), path->usage().cycles >> 10, path->usage().pages,
-                 path->usage().iobuffer_locks)) {
+  const WatchEntry w = Watch(path);
+  if (w.limits == nullptr || !Exceeds(*w.limits, *path)) {
     return false;
   }
   // Record before returning: the kernel kills the path (via the runaway
   // machinery) as soon as we say yes, and the teardown hook must see the
   // detection as already confirmed.
-  ReportDetection(Ip4Addr{static_cast<uint32_t>(*raddr)}, "baseline");
+  ReportDetection(w.raddr, "baseline");
   ++paths_killed_;
   return true;
+}
+
+BaselineDetector::WatchEntry BaselineDetector::Watch(const Path* path) {
+  auto it = watch_.lower_bound(path->id());
+  if (it != watch_.end() && it->first == path->id()) {
+    return it->second;
+  }
+  WatchEntry w;
+  if (auto raddr = path->attrs.GetInt("raddr"); raddr.has_value()) {
+    auto cls = limits_.find(ClassOf(*path));
+    if (cls != limits_.end()) {
+      w.raddr = Ip4Addr{static_cast<uint32_t>(*raddr)};
+      w.limits = &cls->second;
+    }
+  }
+  watch_.emplace_hint(it, path->id(), w);
+  return w;
+}
+
+bool BaselineDetector::Exceeds(const ClassLimits& limits, const Path& path) {
+  const ResourceUsage& u = path.usage();
+  return (u.cycles >> 10) >= limits.kilocycles || u.pages >= limits.pages ||
+         u.iobuffer_locks >= limits.iobuffer_locks;
 }
 
 uint64_t BaselineDetector::samples_learned(const std::string& cls) const {
@@ -233,9 +252,9 @@ void BaselineDetector::LearnSample(const std::string& cls, uint64_t kilocycles, 
   st.iobuffer_locks.sum_sq += iobuffer_locks * iobuffer_locks;
 }
 
-bool BaselineDetector::DimensionExceeds(const Moments& m, uint64_t n, uint64_t value) const {
+double BaselineDetector::Threshold(const Moments& m, uint64_t n) const {
   // mean + k*sigma from integer moments. Computed fresh from the same
-  // integers every time — no accumulated float state, so the comparison is
+  // integers every time — no accumulated float state, so the threshold is
   // a pure function of the sample set and bit-stable across shard counts.
   double dn = static_cast<double>(n);
   double mean = static_cast<double>(m.sum) / dn;
@@ -248,7 +267,38 @@ bool BaselineDetector::DimensionExceeds(const Moments& m, uint64_t n, uint64_t v
   if (sigma < sigma_floor) {
     sigma = sigma_floor;
   }
-  return static_cast<double>(value) > mean + spec_.baseline_k_sigma * sigma;
+  return mean + spec_.baseline_k_sigma * sigma;
+}
+
+bool BaselineDetector::DimensionExceeds(const Moments& m, uint64_t n, uint64_t value) const {
+  return static_cast<double>(value) > Threshold(m, n);
+}
+
+uint64_t BaselineDetector::DimensionLimit(const Moments& m, uint64_t n) const {
+  // The least integer v with (double)v > threshold. Below 2^53 every
+  // integer is an exact double, so v > threshold iff v > floor(threshold).
+  const double threshold = Threshold(m, n);
+  if (threshold < 0.0) {
+    return 0;
+  }
+  if (!(threshold < 9007199254740992.0)) {  // 2^53, or NaN: nothing below 2^53 exceeds it
+    return UINT64_MAX;
+  }
+  return static_cast<uint64_t>(std::floor(threshold)) + 1;
+}
+
+void BaselineDetector::Freeze() {
+  if (frozen_) {
+    return;
+  }
+  frozen_ = true;
+  for (const auto& [cls, st] : classes_) {
+    if (st.n >= spec_.baseline_min_samples) {
+      limits_[cls] = ClassLimits{DimensionLimit(st.kilocycles, st.n),
+                                 DimensionLimit(st.pages, st.n),
+                                 DimensionLimit(st.iobuffer_locks, st.n)};
+    }
+  }
 }
 
 bool BaselineDetector::IsOutlier(const std::string& cls, uint64_t kilocycles, uint64_t pages,
@@ -264,6 +314,7 @@ bool BaselineDetector::IsOutlier(const std::string& cls, uint64_t kilocycles, ui
 }
 
 void BaselineDetector::OnTeardown(Path* path, bool killed) {
+  watch_.erase(path->id());
   if (frozen_ || killed) {
     return;  // killed paths are the anomaly; never let them set the norm
   }
@@ -297,14 +348,10 @@ void BaselineDetector::ScanLivePaths() {
   std::vector<uint64_t> outliers;
   std::vector<Ip4Addr> addrs;
   for (Path* path : server_->paths().live_paths()) {
-    auto raddr = path->attrs.GetInt("raddr");
-    if (!raddr.has_value()) {
-      continue;
-    }
-    if (IsOutlier(ClassOf(*path), path->usage().cycles >> 10, path->usage().pages,
-                  path->usage().iobuffer_locks)) {
+    const WatchEntry w = Watch(path);
+    if (w.limits != nullptr && Exceeds(*w.limits, *path)) {
       outliers.push_back(path->id());
-      addrs.push_back(Ip4Addr{static_cast<uint32_t>(*raddr)});
+      addrs.push_back(w.raddr);
     }
   }
   for (size_t i = 0; i < outliers.size(); ++i) {

@@ -189,15 +189,19 @@ class BaselineDetector : public DetectionPolicy {
   // tests drive them directly).
   void LearnSample(const std::string& cls, uint64_t kilocycles, uint64_t pages,
                    uint64_t iobuffer_locks);
-  void Freeze() { frozen_ = true; }
+  // Stops learning and fixes each learned class's outlier limits.
+  void Freeze();
   bool frozen() const { return frozen_; }
   // True once the class is learned (n >= min_samples) and any dimension
-  // exceeds mean + k*sigma.
+  // exceeds mean + k*sigma, computed from the moments at call time: the
+  // reference that the limits fixed at Freeze must agree with.
   bool IsOutlier(const std::string& cls, uint64_t kilocycles, uint64_t pages,
                  uint64_t iobuffer_locks) const;
   size_t classes_learned() const { return classes_.size(); }
   uint64_t samples_learned(const std::string& cls) const;
   uint64_t paths_killed() const { return paths_killed_; }
+  // Paths whose watch state is cached (live paths seen since the freeze).
+  size_t watched_paths() const { return watch_.size(); }
 
  private:
   // Sum/sum-of-squares moments per consumption dimension. Cycle samples
@@ -218,15 +222,39 @@ class BaselineDetector : public DetectionPolicy {
     Moments iobuffer_locks;
   };
 
+  // A learned class's outlier test, fixed at Freeze: a value v flags its
+  // dimension iff v >= limit, which equals DimensionExceeds for every
+  // v < 2^53 (doubles hold those exactly).
+  struct ClassLimits {
+    uint64_t kilocycles = 0;
+    uint64_t pages = 0;
+    uint64_t iobuffer_locks = 0;
+  };
+  // What the watch needs of one live path, resolved once after the freeze
+  // (the path's attributes and name are fixed at creation): its remote
+  // address, and its class's limits (null: no address, or class not
+  // learned — the path is never flagged).
+  struct WatchEntry {
+    Ip4Addr raddr{};
+    const ClassLimits* limits = nullptr;
+  };
+
   void OnTeardown(Path* path, bool killed);
   void ScanLivePaths();
+  double Threshold(const Moments& m, uint64_t n) const;
   bool DimensionExceeds(const Moments& m, uint64_t n, uint64_t value) const;
+  uint64_t DimensionLimit(const Moments& m, uint64_t n) const;
+  // The path's entry, resolved and cached on first use.
+  WatchEntry Watch(const Path* path);
+  static bool Exceeds(const ClassLimits& limits, const Path& path);
 
   const DetectSpec spec_;
   const Cycles warmup_end_;
   bool frozen_ = false;
   uint64_t paths_killed_ = 0;
   std::map<std::string, ClassStats> classes_;
+  std::map<std::string, ClassLimits> limits_;  // learned classes, set at Freeze
+  std::map<uint64_t, WatchEntry> watch_;       // by path owner id
   KernelEvent* scan_event_ = nullptr;
 };
 

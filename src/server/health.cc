@@ -131,7 +131,8 @@ bool HealthMonitor::Evaluate(size_t i, Cycles now, uint64_t* delta_out) {
   *delta_out = 0;
   switch (rule.kind) {
     case RuleKind::kCounterDeltaAbove: {
-      const MetricCounter* c = registry_->FindCounter(rule.metric);
+      if (st.counter == nullptr) st.counter = registry_->FindCounter(rule.metric);
+      const MetricCounter* c = st.counter;
       if (c == nullptr) return false;
       const uint64_t v = c->value();
       const uint64_t delta = v >= st.last_counter ? v - st.last_counter : 0;
@@ -140,17 +141,20 @@ bool HealthMonitor::Evaluate(size_t i, Cycles now, uint64_t* delta_out) {
       return static_cast<double>(delta) > rule.threshold;
     }
     case RuleKind::kGaugeAbove: {
-      const MetricGauge* g = registry_->FindGauge(rule.metric);
+      if (st.gauge == nullptr) st.gauge = registry_->FindGauge(rule.metric);
+      const MetricGauge* g = st.gauge;
       if (g == nullptr) return false;
       return static_cast<double>(g->value()) > rule.threshold;
     }
     case RuleKind::kHistogramP99Above: {
-      const MetricHistogram* h = registry_->FindHistogram(rule.metric);
+      if (st.histogram == nullptr) st.histogram = registry_->FindHistogram(rule.metric);
+      const MetricHistogram* h = st.histogram;
       if (h == nullptr || h->count() == 0) return false;
       return static_cast<double>(h->Percentile(0.99)) > rule.threshold;
     }
     case RuleKind::kRateBelowBaselineFrac: {
-      const MetricCounter* c = registry_->FindCounter(rule.metric);
+      if (st.counter == nullptr) st.counter = registry_->FindCounter(rule.metric);
+      const MetricCounter* c = st.counter;
       if (c == nullptr || baseline_rate_ <= 0.0 || !window_opened_ ||
           now <= window_open_) {
         return false;

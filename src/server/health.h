@@ -146,6 +146,12 @@ class HealthMonitor {
 
  private:
   struct RuleState {
+    // The watched metric, looked up by name until it is registered, then
+    // kept (registry entries never move). The one matching the rule's
+    // kind is used.
+    const MetricCounter* counter = nullptr;
+    const MetricGauge* gauge = nullptr;
+    const MetricHistogram* histogram = nullptr;
     uint64_t last_counter = 0;
     bool last_valid = false;
     uint32_t streak = 0;

@@ -235,7 +235,7 @@ void SampleLedger(Tracer* tracer, Kernel& kernel, Cycles now) {
   };
   std::map<std::string, Balances> balances;
   for (const auto& [id, rec] : kernel.account_labels()) {
-    Balances& b = balances[rec.label];
+    Balances& b = balances[kernel.label_name(rec.label_id)];
     const ResourceUsage& u = rec.owner->usage();
     b.pages += u.pages;
     b.threads += u.threads;
@@ -263,25 +263,6 @@ void ScheduleLedgerSampler(EventQueue* eq, Kernel* kernel, Tracer* tracer, Cycle
   });
 }
 
-// One metrics-plane tick: refresh the per-account cycle gauges from the
-// kernel ledger, snapshot every counter/gauge into its sim-time series,
-// then let the health monitor evaluate its SLO rules. Same stream-0
-// contract as SampleLedger, so the sampled series — and every incident
-// decision — are part of the queue's deterministic total order.
-void SampleMetrics(MetricsRegistry* registry, HealthMonitor* health, Kernel* kernel,
-                   Cycles now) {
-  CycleLedger snapshot = kernel->Snapshot();
-  for (const auto& [label, cycles] : snapshot.totals()) {
-    MetricSet(ESCORT_METRIC_GAUGE(registry, "kernel.cycles." + label,
-                                  "cycles charged to this ledger account"),
-              static_cast<int64_t>(cycles));
-  }
-  registry->Sample(now);
-  if (health != nullptr) {
-    health->Sample(now);
-  }
-}
-
 // The metrics sampler's fixed inputs, owned by RunExperiment for the whole
 // run, so that each tick's self-rescheduling closure carries only
 // {sampler, at} and lives in its event slot rather than on the heap.
@@ -289,17 +270,30 @@ struct MetricsSampler {
   EventQueue* eq;
   MetricsRegistry* registry;
   HealthMonitor* health;
-  Kernel* kernel;
+  LedgerGauges ledger;
   Cycles interval;
   Cycles end;
 };
 
-void ScheduleMetricsSampler(const MetricsSampler* sampler, Cycles at) {
+// One metrics-plane tick: refresh the per-account cycle gauges from the
+// kernel ledger, snapshot every counter/gauge into its sim-time series,
+// then let the health monitor evaluate its SLO rules. Same stream-0
+// contract as SampleLedger, so the sampled series — and every incident
+// decision — are part of the queue's deterministic total order.
+void SampleMetrics(MetricsSampler* sampler, Cycles now) {
+  sampler->ledger.Publish();
+  sampler->registry->Sample(now);
+  if (sampler->health != nullptr) {
+    sampler->health->Sample(now);
+  }
+}
+
+void ScheduleMetricsSampler(MetricsSampler* sampler, Cycles at) {
   if (at > sampler->end) {
     return;
   }
   auto tick = [sampler, at] {
-    SampleMetrics(sampler->registry, sampler->health, sampler->kernel, sampler->eq->now());
+    SampleMetrics(sampler, sampler->eq->now());
     ScheduleMetricsSampler(sampler, at + sampler->interval);
   };
   static_assert(sizeof(tick) <= InlineFn<void()>::kCapacity,
@@ -308,6 +302,21 @@ void ScheduleMetricsSampler(const MetricsSampler* sampler, Cycles at) {
 }
 
 }  // namespace
+
+void LedgerGauges::Publish() {
+  kernel_->LabelTotals(&cycles_, &present_);
+  gauges_.resize(cycles_.size(), nullptr);  // labels are never forgotten
+  for (Kernel::LabelId id = 0; id < cycles_.size(); ++id) {
+    if (present_[id] == 0) {
+      continue;
+    }
+    if (gauges_[id] == nullptr) {
+      gauges_[id] = ESCORT_METRIC_GAUGE(registry_, "kernel.cycles." + kernel_->label_name(id),
+                                        "cycles charged to this ledger account");
+    }
+    MetricSet(gauges_[id], static_cast<int64_t>(cycles_[id]));
+  }
+}
 
 ExperimentResult RunExperiment(const ExperimentSpec& spec) {
   double warmup_s = EnvSeconds("ESCORT_WARMUP_S", spec.warmup_s);
@@ -351,9 +360,11 @@ ExperimentResult RunExperiment(const ExperimentSpec& spec) {
                           : CyclesFromMillis(5.0);
     ScheduleLedgerSampler(&eq, &tb->server->kernel(), tracer, 0, interval, run_end);
   }
-  MetricsSampler sampler{&eq, metrics, health.get(), nullptr, 0, run_end};
+  MetricsSampler sampler{&eq, metrics, health.get(),
+                         LedgerGauges(tb->server != nullptr ? &tb->server->kernel() : nullptr,
+                                      metrics),
+                         0, run_end};
   if (metrics != nullptr && tb->server != nullptr) {
-    sampler.kernel = &tb->server->kernel();
     sampler.interval = metrics->config().sample_interval > 0
                            ? metrics->config().sample_interval
                            : CyclesFromMillis(5.0);

@@ -150,6 +150,27 @@ struct ExperimentResult {
   double sim_wall_ms = 0.0;
 };
 
+// The metrics sampler's ledger step: publishes the kernel's per-label
+// cycle totals as "kernel.cycles.<label>" gauges, with the values and the
+// label set of Kernel::Snapshot(). Each gauge is registered the first time
+// its label appears and is then found by label id, so one tick is integer
+// work per live owner plus one gauge store per label. A label that drops
+// out of the snapshot (no live owner, no retirement since the last
+// ResetAccounting) keeps its gauge's last value.
+class LedgerGauges {
+ public:
+  LedgerGauges(Kernel* kernel, MetricsRegistry* registry)
+      : kernel_(kernel), registry_(registry) {}
+  void Publish();
+
+ private:
+  Kernel* kernel_;
+  MetricsRegistry* registry_;
+  std::vector<Cycles> cycles_;
+  std::vector<uint8_t> present_;
+  std::vector<MetricGauge*> gauges_;  // by label id; null until first seen
+};
+
 // Scale factors from the environment (ESCORT_WARMUP_S / ESCORT_WINDOW_S),
 // for quick runs vs full fidelity.
 double EnvSeconds(const char* name, double fallback);

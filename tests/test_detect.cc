@@ -10,6 +10,7 @@
 
 #include "src/server/detect.h"
 #include "src/server/policy.h"
+#include "src/sim/rng.h"
 #include "src/workload/experiment.h"
 #include "tests/testbed.h"
 
@@ -170,6 +171,157 @@ TEST(BaselineDetector, FrozenStopsLearning) {
   det.LearnSample("cgi", 100000, 4, 2);  // must not poison the baseline
   EXPECT_EQ(det.samples_learned("cgi"), 16u);
   EXPECT_TRUE(det.IsOutlier("cgi", 179, 4, 2));
+}
+
+// --- the watch cache ----------------------------------------------------
+
+// A server without the testbed's conservation audit: the differential
+// below scripts path ledgers directly, which no real charge produced.
+struct BareServer {
+  BareServer() {
+    link = std::make_unique<SharedLink>(&eq, NetworkModel::Calibrated());
+    WebServerOptions opts;
+    opts.config = ServerConfig::kAccounting;
+    server = std::make_unique<EscortWebServer>(&eq, link.get(), opts);
+  }
+  EventQueue eq;
+  std::unique_ptr<SharedLink> link;
+  std::unique_ptr<EscortWebServer> server;
+};
+
+struct WatchedPath {
+  Path* path = nullptr;
+  std::string cls;
+  bool has_raddr = false;
+  uint32_t raddr = 0;
+};
+
+// The cached per-item watch must decide exactly as the uncached,
+// string-keyed IsOutlier on the path's class — over randomized baselines
+// and ledgers, including values at each learned limit, and across path
+// teardown (clean and killed) and replacement.
+TEST(BaselineDetector, WatchCacheMatchesUncachedIsOutlier) {
+  BareServer bare;
+  DetectSpec spec;
+  spec.mode = DetectMode::kBaseline;
+  BaselineDetector det(bare.server.get(), nullptr, spec, CyclesFromSeconds(10.0));
+  PathManager& paths = bare.server->paths();
+  Rng rng(2024);
+
+  // c0..c3 learn between min_samples - 3 and min_samples + 28 samples
+  // (some stay unlearned); c4 never learns; c5 learns identical samples,
+  // so its thresholds are whole numbers (178 kilocycles, 10 pages).
+  const std::vector<std::string> classes = {"c0", "c1", "c2", "c3", "c4", "c5"};
+  for (uint64_t i = 0; i < spec.baseline_min_samples; ++i) {
+    det.LearnSample("c5", 100, 4, 2);
+  }
+  for (size_t c = 0; c < 4; ++c) {
+    const uint64_t n = spec.baseline_min_samples - 3 + rng.NextBelow(32);
+    const uint64_t kc = 50 + rng.NextBelow(400);
+    for (uint64_t i = 0; i < n; ++i) {
+      det.LearnSample(classes[c], kc + rng.NextBelow(kc / 2 + 1), rng.NextBelow(8),
+                      rng.NextBelow(3));
+    }
+  }
+  det.Freeze();
+
+  uint32_t next_addr = 1;
+  auto create_as = [&](const std::string& cls, bool has_raddr) {
+    WatchedPath w;
+    w.cls = cls;
+    Attributes attrs;
+    if (has_raddr) {
+      w.has_raddr = true;
+      w.raddr = Ip4Addr::FromOctets(10, 0, 9, 0).value + next_addr++;
+      attrs.SetInt("raddr", w.raddr);
+    }
+    w.path = paths.Create(bare.server->arp(), attrs, w.cls, 0);
+    return w;
+  };
+  auto create = [&] {
+    const std::string& cls = classes[rng.NextBelow(classes.size())];
+    return create_as(cls, rng.NextBelow(4) != 0);
+  };
+  auto expect_same = [&](const WatchedPath& w, const char* ctx) {
+    const ResourceUsage& u = w.path->usage();
+    const bool want =
+        w.has_raddr && det.IsOutlier(w.cls, u.cycles >> 10, u.pages, u.iobuffer_locks);
+    const size_t before = det.detections().size();
+    ASSERT_EQ(det.WatchThread(w.path, nullptr), want)
+        << ctx << " " << w.cls << " kc=" << (u.cycles >> 10) << " pages=" << u.pages
+        << " locks=" << u.iobuffer_locks;
+    ASSERT_EQ(det.detections().size(), before + (want ? 1 : 0));
+    if (want) {
+      EXPECT_EQ(det.detections().back().addr.value, w.raddr);
+    }
+  };
+
+  std::vector<WatchedPath> live;
+  for (int i = 0; i < 24; ++i) {
+    live.push_back(create());
+  }
+  for (int round = 0; round < 60; ++round) {
+    for (const WatchedPath& w : live) {
+      ResourceUsage& u = w.path->usage();
+      u.cycles = rng.NextBelow(uint64_t{1200} << 10);
+      u.pages = rng.NextBelow(24);
+      u.iobuffer_locks = rng.NextBelow(8);
+      expect_same(w, "random");
+    }
+    EXPECT_EQ(det.watched_paths(), live.size());
+    // Tear down a few paths, clean or killed, and replace them: each
+    // teardown drops its cache entry, and a replacement is not yet cached.
+    size_t replaced = 0;
+    for (size_t i = 0; i < live.size(); ++i) {
+      if (rng.NextBelow(6) != 0) continue;
+      if (rng.NextBelow(2) == 0) {
+        paths.Kill(live[i].path);
+      } else {
+        paths.Destroy(live[i].path);
+      }
+      live[i] = create();
+      ++replaced;
+    }
+    EXPECT_EQ(det.watched_paths(), live.size() - replaced) << "round " << round;
+  }
+
+  // Each learned class at its exact kilocycle and page limits: the
+  // smallest flagged value (IsOutlier is monotone in it) and its
+  // neighbours, with the low ten cycle bits both clear and set.
+  EXPECT_GT(det.detections().size(), 100u);  // both answers were exercised
+  live.push_back(create_as("c5", true));
+  int at_limit = 0;
+  for (WatchedPath& w : live) {
+    if (!w.has_raddr || !det.IsOutlier(w.cls, uint64_t{1} << 40, 0, 0)) continue;
+    ++at_limit;
+    auto least_flagged = [&](auto flags) {
+      uint64_t lo = 0, hi = uint64_t{1} << 40;
+      while (lo < hi) {
+        const uint64_t mid = lo + (hi - lo) / 2;
+        if (flags(mid)) hi = mid; else lo = mid + 1;
+      }
+      return lo;
+    };
+    const uint64_t kc_limit =
+        least_flagged([&](uint64_t v) { return det.IsOutlier(w.cls, v, 0, 0); });
+    const uint64_t page_limit =
+        least_flagged([&](uint64_t v) { return det.IsOutlier(w.cls, 0, v, 0); });
+    ResourceUsage& u = w.path->usage();
+    u.iobuffer_locks = 0;
+    for (uint64_t kc : {kc_limit - 1, kc_limit, kc_limit + 1}) {
+      for (uint64_t low_bits : {uint64_t{0}, uint64_t{1023}}) {
+        u.cycles = (kc << 10) | low_bits;
+        u.pages = 0;
+        expect_same(w, "kilocycle limit");
+      }
+    }
+    u.cycles = 0;
+    for (uint64_t pages : {page_limit - 1, page_limit, page_limit + 1}) {
+      u.pages = pages;
+      expect_same(w, "page limit");
+    }
+  }
+  EXPECT_GT(at_limit, 1);
 }
 
 // End-to-end sharded equivalence: the detection sequence — and therefore

@@ -478,6 +478,105 @@ TEST(FrameView, AgreesWithTheOwningParserOnSeededFrames) {
   EXPECT_GT(frames - accepted, 1000);
 }
 
+// --- ChecksumPartial against the byte-pair reference ---------------------
+
+// RFC 1071 word by word: `acc` plus each big-endian 16-bit word, the last
+// odd byte as a high byte, folded back to 32 bits.
+uint32_t BytePairChecksumPartial(const uint8_t* data, size_t len, uint32_t acc) {
+  uint64_t sum = acc;
+  size_t i = 0;
+  for (; i + 1 < len; i += 2) {
+    sum += (static_cast<uint32_t>(data[i]) << 8) | data[i + 1];
+  }
+  if (i < len) {
+    sum += static_cast<uint32_t>(data[i]) << 8;
+  }
+  while (sum >> 32) {
+    sum = (sum & 0xffffffff) + (sum >> 32);
+  }
+  return static_cast<uint32_t>(sum);
+}
+
+uint16_t Fold16(uint32_t acc) {
+  while (acc >> 16) {
+    acc = (acc & 0xffff) + (acc >> 16);
+  }
+  return static_cast<uint16_t>(acc);
+}
+
+// Empty when the folded sums agree for `bytes` (at `offset`, to vary the
+// alignment) under `acc`, alone and chained behind a pseudo-header sum.
+std::string CompareChecksum(const std::vector<uint8_t>& bytes, size_t offset, uint32_t acc) {
+  const uint8_t* data = bytes.data() + offset;
+  const size_t len = bytes.size() - offset;
+  std::ostringstream diff;
+  const uint16_t want = Fold16(BytePairChecksumPartial(data, len, acc));
+  const uint16_t got = Fold16(ChecksumPartial(data, len, acc));
+  if (want != got) {
+    diff << "len " << len << " offset " << offset << " acc " << acc << ": folded " << std::hex
+         << got << " != " << want;
+    return diff.str();
+  }
+  const uint8_t pseudo[12] = {10, 0, 0, 1, 10, 0, 0, 2, 0, kIpProtoTcp,
+                              static_cast<uint8_t>(len >> 8), static_cast<uint8_t>(len)};
+  const uint16_t chained_want =
+      Fold16(BytePairChecksumPartial(data, len, BytePairChecksumPartial(pseudo, 12, acc)));
+  const uint16_t chained_got = Fold16(ChecksumPartial(data, len, ChecksumPartial(pseudo, 12, acc)));
+  if (chained_want != chained_got) {
+    diff << "len " << len << " offset " << offset << " acc " << acc << ": chained " << std::hex
+         << chained_got << " != " << chained_want;
+  }
+  return diff.str();
+}
+
+TEST(ChecksumPartial, FoldsLikeTheBytePairSumOnRandomInput) {
+  Rng rng(1071);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const size_t len = rng.NextBelow(3001);
+    const size_t offset = rng.NextBelow(8);
+    std::vector<uint8_t> bytes(offset + len);
+    for (uint8_t& b : bytes) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+    // Plain, small, and full-width starting sums.
+    const uint32_t accs[] = {0, static_cast<uint32_t>(rng.NextBelow(0x20000)),
+                             static_cast<uint32_t>(rng.Next())};
+    for (uint32_t acc : accs) {
+      ASSERT_EQ(CompareChecksum(bytes, offset, acc), "") << "trial " << trial;
+    }
+  }
+}
+
+TEST(ChecksumPartial, FoldsLikeTheBytePairSumOnEdgeInput) {
+  for (size_t len = 0; len <= 70; ++len) {  // every tail shape, odd and even
+    for (uint8_t fill : {uint8_t{0x00}, uint8_t{0xff}, uint8_t{0x80}, uint8_t{0x01}}) {
+      for (size_t offset = 0; offset < 4; ++offset) {
+        std::vector<uint8_t> bytes(offset + len, fill);
+        for (uint32_t acc : {0u, 1u, 0xffffu, 0x10000u, 0xfffeffffu, 0xffffffffu}) {
+          ASSERT_EQ(CompareChecksum(bytes, offset, acc), "")
+              << "fill " << static_cast<int>(fill);
+        }
+      }
+    }
+  }
+  // Sums that are nonzero multiples of 0xffff fold to 0xffff, never to 0:
+  // 0x8000 + 0x7fff, 0xffff words, and an acc that completes the multiple.
+  const std::vector<uint8_t> half_and_half = {0x80, 0x00, 0x7f, 0xff};
+  EXPECT_EQ(Fold16(ChecksumPartial(half_and_half.data(), half_and_half.size())), 0xffff);
+  for (size_t words = 1; words <= 600; words += 37) {
+    std::vector<uint8_t> ones(words * 2, 0xff);
+    EXPECT_EQ(Fold16(ChecksumPartial(ones.data(), ones.size())), 0xffff) << words;
+    EXPECT_EQ(CompareChecksum(ones, 0, 0), "");
+  }
+  const std::vector<uint8_t> word = {0x12, 0x34};
+  EXPECT_EQ(Fold16(ChecksumPartial(word.data(), word.size(), 0xffff - 0x1234)), 0xffff);
+  EXPECT_EQ(CompareChecksum(word, 0, 0xffff - 0x1234), "");
+  // All zero with no starting sum is the one way to fold to 0.
+  const std::vector<uint8_t> zeros(1500, 0);
+  EXPECT_EQ(ChecksumPartial(zeros.data(), zeros.size()), 0u);
+  EXPECT_EQ(InternetChecksum(zeros.data(), zeros.size()), 0xffff);
+}
+
 TEST(AddressTest, SubnetMatching) {
   Subnet trusted{Ip4Addr::FromOctets(10, 0, 0, 0), 8};
   EXPECT_TRUE(trusted.Contains(Ip4Addr::FromOctets(10, 200, 3, 4)));

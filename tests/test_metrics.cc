@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -14,8 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/kernel/kernel.h"
 #include "src/sim/metrics.h"
 #include "src/sim/rng.h"
+#include "src/workload/experiment.h"
 #include "src/workload/sweep.h"
 
 namespace escort {
@@ -237,6 +240,103 @@ TEST(MetricsDeterminismTest, DocumentByteIdenticalAcrossJobsAndShards) {
       }
     }
   }
+}
+
+// --- ledger gauges by label id --------------------------------------------
+
+// A scripted owner population over a few shared labels: owners register,
+// get charged, retire, and the window resets mid-run. At every tick the
+// id-indexed LedgerGauges must publish exactly Snapshot()'s labels and
+// values, Snapshot() must match a hand-kept per-label ledger, and the
+// registry must serialize byte-identically to one fed by the name-based
+// sampler (a string-built gauge lookup per snapshot label).
+TEST(LedgerGaugesTest, TicksMatchSnapshotThroughRetirementsAndReset) {
+  EventQueue eq;
+  KernelConfig kc;
+  kc.start_softclock = false;
+  Kernel kernel(&eq, kc);
+  MetricsRegistry by_id;
+  MetricsRegistry by_name;
+  LedgerGauges gauges(&kernel, &by_id);
+
+  const std::vector<std::string> labels = {"active-path", "cgi", "arp", "passive", "qos"};
+  std::vector<std::unique_ptr<Owner>> owners;
+  std::map<uint64_t, std::string> live;        // owner id -> label
+  std::map<std::string, Cycles> retired;       // since the last reset
+  std::map<std::string, Cycles> last_published;
+  Rng rng(17);
+
+  for (int tick = 0; tick < 200; ++tick) {
+    if (tick == 120) {
+      kernel.ResetAccounting();
+      retired.clear();
+    }
+    // Script: a few registrations, charges and retirements per tick.
+    for (int k = 0; k < 3; ++k) {
+      const std::string& label = labels[rng.NextBelow(tick < 60 ? 3 : labels.size())];
+      owners.push_back(std::make_unique<Owner>(OwnerType::kPath, kernel.NextOwnerId(), label));
+      kernel.RegisterOwner(owners.back().get(), label);
+      live[owners.back()->id()] = label;
+    }
+    for (const auto& o : owners) {
+      if (live.count(o->id()) != 0 && rng.NextBelow(2) == 0) {
+        o->usage().cycles += rng.NextBelow(5000);
+      }
+    }
+    // A burst label whose owners all retire before the reset: afterwards
+    // it has neither a live owner nor a retirement in the window.
+    if (tick >= 100 && tick < 110) {
+      owners.push_back(std::make_unique<Owner>(OwnerType::kPath, kernel.NextOwnerId(), "burst"));
+      kernel.RegisterOwner(owners.back().get(), "burst");
+      live[owners.back()->id()] = "burst";
+    }
+    for (const auto& o : owners) {
+      const bool burst_ends = tick == 115 && live.count(o->id()) != 0 && live[o->id()] == "burst";
+      if (live.count(o->id()) != 0 && (burst_ends || rng.NextBelow(8) == 0)) {
+        retired[live[o->id()]] += o->usage().cycles;
+        live.erase(o->id());
+        kernel.UnregisterOwner(o.get());
+      }
+    }
+
+    // The hand-kept ledger: retired labels, plus every live owner.
+    std::map<std::string, Cycles> expected = retired;
+    for (const auto& o : owners) {
+      if (live.count(o->id()) != 0) {
+        expected[live[o->id()]] += o->usage().cycles;
+      }
+    }
+    expected["Kernel"] += kernel.kernel_owner()->usage().cycles;
+    expected["Idle"] += kernel.idle_owner()->usage().cycles;
+    expected["PD:privileged"] += kernel.domain(kKernelDomain)->usage().cycles;
+
+    const CycleLedger snapshot = kernel.Snapshot();
+    ASSERT_EQ(snapshot.totals(), expected) << "tick " << tick;
+
+    gauges.Publish();
+    for (const auto& [label, cycles] : snapshot.totals()) {
+      const MetricGauge* g = by_id.FindGauge("kernel.cycles." + label);
+      ASSERT_NE(g, nullptr) << label;
+      EXPECT_EQ(g->value(), static_cast<int64_t>(cycles)) << "tick " << tick << " " << label;
+      MetricSet(ESCORT_METRIC_GAUGE(&by_name, "kernel.cycles." + label,
+                                    "cycles charged to this ledger account"),
+                static_cast<int64_t>(cycles));
+      last_published[label] = cycles;
+    }
+    // A label absent from the snapshot keeps its last published value.
+    for (const auto& [label, cycles] : last_published) {
+      EXPECT_EQ(by_id.FindGauge("kernel.cycles." + label)->value(),
+                static_cast<int64_t>(cycles))
+          << "tick " << tick << " " << label;
+    }
+    EXPECT_EQ(by_id.gauge_count(), last_published.size());
+    by_id.Sample(static_cast<Cycles>(tick) * 1000);
+    by_name.Sample(static_cast<Cycles>(tick) * 1000);
+  }
+  // The script must have exercised the reset's label-dropping path.
+  EXPECT_EQ(kernel.Snapshot().totals().count("burst"), 0u);
+  EXPECT_EQ(last_published.count("burst"), 1u);
+  EXPECT_EQ(by_id.SerializeCell("ledger"), by_name.SerializeCell("ledger"));
 }
 
 // --- zero perturbation ---------------------------------------------------

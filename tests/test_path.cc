@@ -259,6 +259,48 @@ TEST_F(PathTest, DistinctDomainCountAndCrossings) {
   EXPECT_FALSE(p->CrossingAllowed(m1->pd(), 99));
 }
 
+TEST_F(PathTest, CrossingTableIsSymmetricAndDeduplicated) {
+  EventQueue eq2;
+  KernelConfig kc;
+  kc.start_softclock = false;
+  kc.protection_domains = true;
+  Kernel pdk(&eq2, kc);
+  ModuleGraph graph(&pdk);
+  const PdId d1 = pdk.CreateDomain("d1")->pd_id();
+  const PdId d2 = pdk.CreateDomain("d2")->pd_id();
+  const PdId d3 = pdk.CreateDomain("d3")->pd_id();
+  // d1 -> d2 -> d1: two distinct domains over three stages.
+  auto* m1 = graph.Add(std::make_unique<EchoModule>("M1"), d1);
+  auto* m2 = graph.Add(std::make_unique<EchoModule>("M2"), d2);
+  auto* m3 = graph.Add(std::make_unique<EchoModule>("M3"), d1);
+  m1->SetNext(m2);
+  m2->SetNext(m3);
+  graph.Connect(m1, m2, ServiceInterface::kAsyncIo);
+  graph.Connect(m2, m3, ServiceInterface::kAsyncIo);
+  PathManager manager(&pdk, &graph);
+  graph.InitAll(&manager);
+
+  Path* p = manager.Create(m1, Attributes{}, "pd-path");
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p->DistinctDomainCount(), 2);
+  EXPECT_TRUE(p->CrossingAllowed(d1, d2));
+  EXPECT_TRUE(p->CrossingAllowed(d2, d1));
+  // Staying put and entering or leaving the kernel are always allowed.
+  EXPECT_TRUE(p->CrossingAllowed(d3, d3));
+  EXPECT_TRUE(p->CrossingAllowed(kKernelDomain, d3));
+  EXPECT_TRUE(p->CrossingAllowed(d3, kKernelDomain));
+  // d3 is off the path until a crossing names it, in either order.
+  EXPECT_FALSE(p->CrossingAllowed(d1, d3));
+  EXPECT_FALSE(p->CrossingAllowed(d3, d2));
+  p->AllowCrossing(d3, d1);
+  p->AllowCrossing(d1, d3);  // the same pair again: no change
+  EXPECT_TRUE(p->CrossingAllowed(d1, d3));
+  EXPECT_TRUE(p->CrossingAllowed(d3, d1));
+  EXPECT_FALSE(p->CrossingAllowed(d2, d3));
+  EXPECT_FALSE(p->CrossingAllowed(d3, d2));
+  EXPECT_TRUE(p->CrossingAllowed(d2, d1));
+}
+
 TEST_F(PathTest, ModuleGraphRejectsUntypedEdges) {
   ModuleGraph graph(kernel_.get());
   auto* file_mod = graph.Add(
